@@ -17,7 +17,6 @@ from .ar import (
     log_pe_ar,
     log_pe_ar_known_variance,
     posterior_ar,
-    predictive_ar,
     update_stats,
 )
 from .arch import (
@@ -31,9 +30,9 @@ from .arch import (
     predictive_arch,
 )
 from .fit import FittedModel, fit_series
-from .forecasting import EvalReport, ForecastRecord, RunConfig, refresh_map_per_step, rolling_forecast
+from .forecasting import EvalReport, ForecastRecord, RunConfig, rolling_forecast
 from .io import TransformSpec, apply_transform, ingest_csv, model_document
-from .quantizer import Quantizer, context_at, quantize
+from .quantizer import Quantizer, context_at
 from .selection import SelectionGrid, percentile_threshold_grid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
 from .tree import ContextTrie, TreeModel, default_beta, log_prior
@@ -42,13 +41,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
-    "log_pe_ar", "log_pe_ar_known_variance", "posterior_ar", "predictive_ar", "update_stats",
+    "log_pe_ar", "log_pe_ar_known_variance", "posterior_ar", "update_stats",
     "ArchConfig", "ArchModel", "ArchNodeState",
     "arch_loglik", "arch_score_and_info", "fisher_scoring", "log_pe_arch_laplace", "predictive_arch",
     "FittedModel", "fit_series",
-    "EvalReport", "ForecastRecord", "RunConfig", "refresh_map_per_step", "rolling_forecast",
+    "EvalReport", "ForecastRecord", "RunConfig", "rolling_forecast",
     "TransformSpec", "apply_transform", "ingest_csv", "model_document",
-    "Quantizer", "context_at", "quantize",
+    "Quantizer", "context_at",
     "SelectionGrid", "percentile_threshold_grid", "select_hyperparams",
     "ArLeaf", "ArchLeaf", "GenerativeSpec", "builtin_specs", "generate",
     "ContextTrie", "TreeModel", "default_beta", "log_prior",

@@ -96,13 +96,15 @@ class ArSufficientStats:
     def dim(self) -> int:
         return len(self.s2)
 
-    def copy(self) -> "ArSufficientStats":
-        out = ArSufficientStats(self.dim)
-        out.count = self.count
-        out.s1 = self.s1
-        out.s2 = list(self.s2)
-        out.s3 = [list(row) for row in self.s3]
+    @classmethod
+    def from_sums(cls, count: int, s1: float, s2: list[float], s3: list[list[float]]) -> "ArSufficientStats":
+        """Statistics holding the given sums (the lists are kept, not copied)."""
+        out = cls.__new__(cls)
+        out.count, out.s1, out.s2, out.s3 = count, s1, s2, s3
         return out
+
+    def copy(self) -> "ArSufficientStats":
+        return ArSufficientStats.from_sums(self.count, self.s1, list(self.s2), [list(row) for row in self.s3])
 
 
 def update_stats(stats: ArSufficientStats, x: float, design: Sequence[float]) -> None:
@@ -227,11 +229,6 @@ def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     )
 
 
-def predictive_ar(phi: Sequence[float], sigma2: float, design: Sequence[float]) -> tuple[float, float]:
-    """Plug-in one-step predictive mean and variance."""
-    return dot(phi, design), sigma2
-
-
 class ArModel:
     """Leaf-model adapter driving the context trie with conjugate AR states."""
 
@@ -250,6 +247,29 @@ class ArModel:
     def observe(self, state: ArSufficientStats, x: float, lags: Sequence[float]) -> None:
         update_stats(state, x, self.hp.design(lags))
 
+    def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArSufficientStats]:
+        """One state per index 0..K-1 of inverse, holding the sums of the rows mapped to it.
+
+        np.bincount adds its weights in input order starting from 0.0, as
+        update_stats does one sample at a time, and each product is the
+        same float64 product, so every sum is bit-identical to the loop.
+        """
+        design = lags[:, : self.hp.order]
+        if self.hp.intercept:
+            design = np.column_stack([np.ones(len(x)), design])
+        q = design.shape[1]
+        counts = np.bincount(inverse)
+        k = len(counts)
+        s2 = np.empty((k, q))
+        s3 = np.empty((k, q, q))
+        for a in range(q):
+            col = design[:, a]
+            s2[:, a] = np.bincount(inverse, x * col, k)
+            for b in range(a, q):
+                s3[:, a, b] = s3[:, b, a] = np.bincount(inverse, col * design[:, b], k)
+        s1 = np.bincount(inverse, x * x, k)
+        return list(map(ArSufficientStats.from_sums, counts.tolist(), s1.tolist(), s2.tolist(), s3.tolist()))
+
     def log_pe(self, state: ArSufficientStats) -> float:
         return log_pe_ar(state, self.hp)
 
@@ -257,8 +277,9 @@ class ArModel:
         """MAP coefficients and noise variance; prior mode for empty states."""
         if state is None:
             state = self.new_state()
-        post = posterior_ar(state, self.hp)
-        return post.map_phi, post.map_sigma2
+        # The ArPosterior fields map_phi and map_sigma2, without its scale matrix.
+        _, loc, d = _posterior_core(state, self.hp)
+        return np.array(loc), (self.hp.lam + 0.5 * d) / (self.hp.tau + 0.5 * state.count + 1.0)
 
     def predict_from_state(
         self,
@@ -266,8 +287,9 @@ class ArModel:
         lags: Sequence[float],
         root_state: Optional[ArSufficientStats] = None,
     ) -> tuple[float, float]:
+        """Plug-in one-step predictive mean and variance at the MAP parameters."""
         phi, sigma2 = self.map_params(state)
-        return predictive_ar(phi, sigma2, self.hp.design(lags))
+        return dot(phi, self.hp.design(lags)), sigma2
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats]) -> dict:
         phi, sigma2 = self.map_params(state)

@@ -261,6 +261,26 @@ class ArchModel:
     def observe(self, state: ArchNodeState, x: float, lags: Sequence[float]) -> None:
         state.add(x, self.design(lags))
 
+    def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArchNodeState]:
+        """One state per index 0..K-1 of inverse, holding the rows mapped to it.
+
+        A stable sort groups the rows per state in their original order, so
+        each state holds what observe would have appended one at a time.
+        """
+        rows = np.argsort(inverse, kind="stable")
+        sq = lags[rows, : self.cfg.order]
+        z = np.column_stack([np.ones(len(rows)), sq * sq]).tolist()
+        xs = x[rows].tolist()
+        states = []
+        start = 0
+        for end in np.cumsum(np.bincount(inverse)).tolist():
+            state = ArchNodeState()
+            state.xs = xs[start:end]
+            state.zs = [tuple(r) for r in z[start:end]]
+            states.append(state)
+            start = end
+        return states
+
     def fit_state(self, state: ArchNodeState, warm: bool = False, iters: Optional[int] = None) -> None:
         """(Re)fit the node MLE and cache its approximate log marginal."""
         if state.count == 0:

@@ -159,8 +159,8 @@ def cmd_forecast(args) -> int:
             depth=doc["depth"],
             beta=doc["beta"],
             intercept=doc.get("intercept", False),
-            tau=doc.get("prior", {}).get("tau", 1.0),
-            lam=doc.get("prior", {}).get("lam", 1.0),
+            tau=(doc.get("prior") or {}).get("tau", 1.0),
+            lam=(doc.get("prior") or {}).get("lam", 1.0),
             fisher_iters=doc.get("fisher_iters") or 10,
         )
     else:

@@ -2,14 +2,16 @@
 
 The first max(depth, order) samples of the input are consumed as the
 initial conditioning segment and never scored; every later sample is routed
-through the trie.  After the initial fit the model can absorb one sample at
-a time, refreshing only the D+1 affected nodes, which reproduces a
-from-scratch refit exactly for the conjugate AR leaves.
+through the trie, all of them in one columnar pass.  After the initial fit
+the model can absorb one sample at a time, refreshing only the D+1 affected
+nodes, which reproduces a from-scratch refit exactly for the conjugate AR
+leaves.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,15 +54,14 @@ class FittedModel:
 
     # -- fitting and sequential updates --------------------------------------
 
-    def _ingest(self, x: float) -> list:
-        path = self.trie.observe(x, self.current_context(), self.current_lags())
-        self._history.append(x)
-        return path
-
     def update(self, x: float) -> None:
         """Absorb one new sample and refresh evidence, MAP tree and parameters."""
+        x = float(x)
+        if not isfinite(x):
+            raise ValueError("series contains non-finite values")
         context = self.current_context()
-        path = self._ingest(x)
+        path = self.trie.observe(x, context, self.current_lags())
+        self._history.append(x)
         self._steps_since_fit += 1
         if self.model.kind == "arch":
             if self._steps_since_fit % ARCH_FULL_REFRESH_EVERY == 0:
@@ -141,10 +142,16 @@ def fit_series(
             f"series of length {len(series)} is shorter than the "
             f"initial segment of {fitted.init_len} samples"
         )
-    for v in series[: fitted.init_len]:
-        fitted._history.append(float(v))
-    for v in series[fitted.init_len :]:
-        fitted._ingest(float(v))
+    n, init = len(series), fitted.init_len
+    # Sample i's context is (sym[i-1], ..., sym[i-depth]) and its lags are
+    # (series[i-1], ..., series[i-order]); column d of either is a shifted slice.
+    symbols = quantizer.code(series)
+    contexts = [symbols[init - 1 - d : n - 1 - d] for d in range(depth)]
+    lags = np.empty((n - init, model.order))
+    for k in range(model.order):
+        lags[:, k] = series[init - 1 - k : n - 1 - k]
+    fitted.trie.observe_all(contexts, series[init:], lags)
+    fitted._history.extend(series[max(n - fitted._history.maxlen, 0) :].tolist())
     fitted.trie.full_sweep()
     fitted._map_tree = fitted.trie.map_tree()
     return fitted

@@ -18,7 +18,7 @@ import numpy as np
 from ._num import LOG_2PI
 from .ar import ArHyperParams, ArModel
 from .arch import ArchConfig, ArchModel
-from .fit import FittedModel, fit_series
+from .fit import fit_series
 from .quantizer import Quantizer
 from .tree import TreeModel
 
@@ -131,13 +131,3 @@ def rolling_forecast(
         train_len=split,
         leaf_params={"".join(map(str, k)): v for k, v in fitted.leaf_parameters().items()},
     )
-
-
-def refresh_map_per_step(fitted: FittedModel, x: float) -> TreeModel:
-    """Absorb one sample, refreshing only the touched path, and return the MAP tree.
-
-    Equivalent to refitting from scratch: only the D+1 path nodes change, so
-    recomputing their quantities bottom-up reproduces the full recursion.
-    """
-    fitted.update(x)
-    return fitted.map_tree()

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Quantizer:
@@ -41,10 +43,9 @@ class Quantizer:
     def __call__(self, x: float) -> int:
         return bisect_right(self.thresholds, x)
 
-
-def quantize(x: float, q: Quantizer) -> int:
-    """Symbol in {0, ..., m-1} for a real observation x."""
-    return q(x)
+    def code(self, series) -> np.ndarray:
+        """Symbols of a whole series at once; elementwise equal to calling the quantizer."""
+        return np.searchsorted(self.thresholds, series, side="right")
 
 
 def context_at(series: Sequence[float], i: int, q: Quantizer, depth: int) -> tuple[int, ...]:

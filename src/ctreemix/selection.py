@@ -96,7 +96,7 @@ def select_hyperparams(
             try:
                 fitted = fit_series(train, model_factory(order), Quantizer(thr), depth, beta)
                 cell = EvidenceCell(thr, order, fitted.log_evidence())
-            except Exception as exc:  # candidate-level failure, keep going
+            except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
                 cell = EvidenceCell(thr, order, float("-inf"), error=str(exc))
             cells.append(cell)
             if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):

@@ -7,6 +7,10 @@ any object providing::
     order          -> int, number of raw lag values consumed per observation
     new_state()    -> fresh per-node statistics object
     observe(state, x, lags)  -> accumulate one observation
+    observe_batch(inverse, x, lags)
+                   -> one new state per index 0..K-1 of inverse, holding the
+                      rows i (of x and of the 2-D lags array) with
+                      inverse[i] equal to it, as observe would leave it
     log_pe(state)  -> float, log marginal likelihood of the node's data
 
 Three quantities are maintained per node, all in natural-log domain:
@@ -36,7 +40,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from math import exp, log, log1p
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from ._num import log_add
 
@@ -145,7 +151,8 @@ class ContextTrie:
     """The smallest trie covering every observed context, with its sweeps.
 
     Building is single-writer: ``observe`` routes one sample through the
-    D+1 nodes on its context path, creating nodes lazily.  ``full_sweep``
+    D+1 nodes on its context path, creating nodes lazily, and
+    ``observe_all`` routes a whole batch into a fresh trie.  ``full_sweep``
     (post-order) or ``refresh_path`` (after a single new observation)
     recompute the per-node quantities; read-only queries are safe to run
     concurrently afterwards.
@@ -201,6 +208,46 @@ class ContextTrie:
         self.num_obs += 1
         self._swept = False
         return path
+
+    def observe_all(self, contexts: Sequence[np.ndarray], x: np.ndarray, lags: np.ndarray) -> None:
+        """Route every sample of a batch into a fresh trie, one depth at a time.
+
+        ``contexts[d]`` holds the (d+1)-th most recent symbol of every
+        sample, ``x`` the samples and ``lags`` one row of raw lags per
+        sample.  Sample i's node at depth d is numbered by relabelling
+        ``node_{d-1}[i] * m + contexts[d-1][i]`` to 0..K-1, so codes stay
+        below len(x) * m at any depth.  The nodes and statistics equal those
+        of calling ``observe`` on each sample in turn.
+        """
+        if self.num_obs:
+            raise RuntimeError("observe_all needs a trie that has observed nothing")
+        if len(contexts) != self.depth:
+            raise ValueError(f"{len(contexts)} context columns != depth {self.depth}")
+        if len(x) == 0:
+            return
+        m = self.m
+        inverse = np.zeros(len(x), dtype=np.intp)
+        (self.root.state,) = self.model.observe_batch(inverse, x, lags)
+        level = [self.root]
+        for column in contexts:
+            if column.min() < 0 or column.max() >= m:
+                raise ValueError(f"context symbol outside alphabet of size {m}")
+            # np.unique(key, return_inverse=True) without its sort: keys < K * m.
+            key = inverse * m + column
+            keys = np.flatnonzero(np.bincount(key))
+            relabel = np.empty(keys[-1] + 1, dtype=np.intp)
+            relabel[keys] = np.arange(len(keys))
+            inverse = relabel[key]
+            states = self.model.observe_batch(inverse, x, lags)
+            nodes = []
+            for parent, sym, state in zip((keys // m).tolist(), (keys % m).tolist(), states):
+                node = _Node(m, state)
+                level[parent].children[sym] = node
+                nodes.append(node)
+            self.num_nodes += len(nodes)
+            level = nodes
+        self.num_obs = len(x)
+        self._swept = False
 
     # -- sweeps -------------------------------------------------------------
 

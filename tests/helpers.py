@@ -11,7 +11,10 @@ from itertools import product
 
 import numpy as np
 
-from ctreemix import ArHyperParams, ArModel, ArLeaf, GenerativeSpec, Quantizer, TreeModel, generate
+from ctreemix import (
+    ArHyperParams, ArModel, ArLeaf, ArSufficientStats, FittedModel, GenerativeSpec, Quantizer,
+    TreeModel, generate,
+)
 from ctreemix.tree import log_prior
 
 
@@ -83,3 +86,28 @@ def random_mixture_series(seed: int, n: int = 30) -> np.ndarray:
 
 def small_ar_model(order: int = 1, intercept: bool = False) -> ArModel:
     return ArModel(ArHyperParams(order=order, intercept=intercept))
+
+
+def per_sample_fit(series, model, quantizer: Quantizer, depth: int, beta=None) -> FittedModel:
+    """Reference fit that routes each scored sample through ContextTrie.observe in turn."""
+    series = [float(v) for v in series]
+    fitted = FittedModel(model, quantizer, depth, beta)
+    for i in range(fitted.init_len, len(series)):
+        context = tuple(quantizer(series[i - 1 - d]) for d in range(depth))
+        lags = tuple(series[i - 1 - k] for k in range(model.order))
+        fitted.trie.observe(series[i], context, lags)
+    fitted._history.extend(series[-fitted._history.maxlen:])
+    fitted.trie.full_sweep()
+    return fitted
+
+
+def trie_contents(trie) -> dict:
+    """Every node's context mapped to its statistics, as plain Python values."""
+    out = {}
+    for context, node in trie.nodes():
+        st = node.state
+        if isinstance(st, ArSufficientStats):
+            out[context] = (st.count, st.s1, st.s2, st.s3)
+        else:
+            out[context] = (st.xs, st.zs)
+    return out

@@ -16,7 +16,6 @@ from ctreemix import (
     log_pe_ar,
     log_pe_ar_known_variance,
     posterior_ar,
-    predictive_ar,
     update_stats,
     Quantizer,
     TreeModel,
@@ -212,7 +211,11 @@ class TestPosterior:
 
 class TestPredictive:
     def test_plug_in(self):
-        assert predictive_ar((0.5,), 0.05, (1.0,)) == (0.5, 0.05)
+        # stats whose MAP is phi = 2/(3+1) = 0.5 and sigma2 = (1 + 0/2)/(1 + 36/2 + 1) = 0.05
+        model = ArModel(HP1)
+        st = ArSufficientStats(1)
+        st.count, st.s1, st.s2, st.s3 = 36, 1.0, [2.0], [[3.0]]
+        assert model.predict_from_state(st, (1.0,)) == (0.5, 0.05)
 
     def test_empty_leaf_uses_prior_mode(self):
         model = ArModel(HP1)

@@ -74,6 +74,23 @@ def test_forecast_from_model_matches_end_to_end(tmp_path):
     assert a["thresholds"] == b["thresholds"] and a["order"] == b["order"]
 
 
+def test_forecast_from_arch_model_document(tmp_path):
+    # an ARCH fit document stores "prior": null
+    data = simulate_csv(tmp_path, name="arch_sim", n=300, seed=4)
+    model_doc = tmp_path / "m.json"
+    rep = tmp_path / "rep.json"
+    assert run([
+        "fit", str(data), "--model", "arch", "--thresholds", "0", "--order", "2",
+        "--split", "0.5", "-o", str(model_doc),
+    ]) == 0
+    assert json.loads(model_doc.read_text())["prior"] is None
+    assert run([
+        "forecast", str(data), "--from-model", str(model_doc), "--split", "0.5", "-o", str(rep),
+    ]) == 0
+    doc = json.loads(rep.read_text())
+    assert doc["order"] == 2 and doc["test_len"] > 0
+
+
 def test_forecast_writes_records(tmp_path):
     data = simulate_csv(tmp_path, n=200, seed=6)
     rep = tmp_path / "rep.json"

@@ -59,8 +59,6 @@ class TestRollingAr:
 
     def test_incremental_equals_refit_from_scratch(self):
         # bitwise: the path refresh must reproduce a cold fit at every step
-        from ctreemix.forecasting import refresh_map_per_step
-
         series = generate(builtin_specs()["sim_1"].spec, 160, seed=1)
         split = 80
         q = Quantizer((0.0,))
@@ -72,9 +70,9 @@ class TestRollingAr:
             assert mean_inc == mean_cold and var_inc == var_cold
             assert fitted.log_evidence() == cold.log_evidence()
             assert fitted.map_tree() == cold.map_tree()
-            refreshed = refresh_map_per_step(fitted, float(series[i]))
+            fitted.update(float(series[i]))
             full = fit_series(series[: i + 1], small_ar_model(2), q, 4, 0.5)
-            assert refreshed == full.map_tree()
+            assert fitted.map_tree() == full.map_tree()
 
     def test_shift_invariance_of_states(self):
         # shifting data and thresholds together leaves every quantized

@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from ctreemix import Quantizer, context_at, quantize
+from ctreemix import Quantizer, context_at
 
 
 def test_below_sole_threshold():
-    assert quantize(-1.0, Quantizer((0.0,))) == 0
+    assert Quantizer((0.0,))(-1.0) == 0
 
 
 def test_boundary_goes_to_upper_cell():
-    assert quantize(0.0, Quantizer((0.0,))) == 1
+    assert Quantizer((0.0,))(0.0) == 1
 
 
 def test_ternary_mid_band():
     # three-way split used for daily price changes: {down, steady, up}
     q = Quantizer((-7.0, 7.0))
-    assert quantize(3.0, q) == 1
-    assert quantize(-8.0, q) == 0
-    assert quantize(7.0, q) == 2
+    assert q(3.0) == 1
+    assert q(-8.0) == 0
+    assert q(7.0) == 2
 
 
 def test_monotone_and_partition():
@@ -27,6 +27,7 @@ def test_monotone_and_partition():
     syms = [q(x) for x in xs]
     assert all(a <= b for a, b in zip(syms, syms[1:]))
     assert set(syms) <= {0, 1, 2, 3}
+    assert q.code(xs).tolist() == syms
     # exactly one half-open cell fires for each input
     for x in (-0.5, 0.1, 2.0, -0.5 - 1e-12, 37.0):
         cells = [

@@ -66,6 +66,17 @@ def test_degenerate_grid_reported():
         select_hyperparams(series[:45], grid, ar_factory(), depth=40)
 
 
+def test_programming_errors_propagate():
+    series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)
+    grid = SelectionGrid(orders=(1, 2), thresholds=((0.0,),))
+
+    def broken_factory(order):
+        raise TypeError("bad factory")
+
+    with pytest.raises(TypeError, match="bad factory"):
+        select_hyperparams(series, grid, broken_factory, depth=4)
+
+
 def test_nested_truth_wins_on_long_series():
     # the order-2 generator should beat order-1 on most long realisations
     spec = builtin_specs()["sim_1"].spec
