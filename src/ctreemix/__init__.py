@@ -15,7 +15,6 @@ from .ar import (
     ArPosterior,
     ArSufficientStats,
     log_pe_ar,
-    log_pe_ar_known_variance,
     posterior_ar,
     update_stats,
 )
@@ -41,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
-    "log_pe_ar", "log_pe_ar_known_variance", "posterior_ar", "update_stats",
+    "log_pe_ar", "posterior_ar", "update_stats",
     "ArchConfig", "ArchModel", "ArchNodeState",
     "arch_loglik", "arch_score_and_info", "fisher_scoring", "log_pe_arch_laplace", "predictive_arch",
     "FittedModel", "fit_series",

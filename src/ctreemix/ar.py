@@ -152,40 +152,6 @@ def log_pe_ar(stats: ArSufficientStats, hp: ArHyperParams) -> float:
     )
 
 
-def log_pe_ar_known_variance(
-    stats: ArSufficientStats, sigma2: float, mu0: np.ndarray, sigma0: np.ndarray
-) -> float:
-    """Log marginal likelihood when the noise variance is a known constant.
-
-    The coefficient prior here is N(mu0, sigma0) with a fixed covariance;
-    integrating this quantity against an inverse-gamma prior on sigma2
-    (after scaling sigma0 by sigma2) recovers :func:`log_pe_ar`, which is
-    how it serves as an independent cross-check.
-    """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    n = stats.count
-    if n == 0:
-        return 0.0
-    mu0 = np.asarray(mu0, dtype=float)
-    sigma0 = np.asarray(sigma0, dtype=float)
-    q = stats.dim
-    s2 = np.array(stats.s2)
-    s3 = np.array(stats.s3)
-    prec0 = np.linalg.inv(sigma0)
-    a = s3 + sigma2 * prec0
-    b = s2 + sigma2 * (prec0 @ mu0)
-    sol = np.linalg.solve(a, b)
-    e = stats.s1 + sigma2 * float(mu0 @ prec0 @ mu0) - float(b @ sol)
-    # det(I + sigma0 s3 / sigma2) = det(sigma0) det(s3 + sigma2 prec0) / sigma2^q
-    logdet = (
-        float(np.linalg.slogdet(sigma0)[1])
-        + float(np.linalg.slogdet(a)[1])
-        - q * log(sigma2)
-    )
-    return -0.5 * (n * (LOG_2PI + log(sigma2)) + logdet) - e / (2.0 * sigma2)
-
-
 @dataclass(frozen=True)
 class ArPosterior:
     """Posterior of one leaf: t-distributed coefficients, inverse-gamma variance."""
@@ -232,8 +198,6 @@ def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
 class ArModel:
     """Leaf-model adapter driving the context trie with conjugate AR states."""
 
-    kind = "ar"
-
     def __init__(self, hp: ArHyperParams):
         self.hp = hp
 
@@ -270,6 +234,9 @@ class ArModel:
         s1 = np.bincount(inverse, x * x, k)
         return list(map(ArSufficientStats.from_sums, counts.tolist(), s1.tolist(), s2.tolist(), s3.tolist()))
 
+    def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
+        trie.refresh_path(context)
+
     def log_pe(self, state: ArSufficientStats) -> float:
         return log_pe_ar(state, self.hp)
 
@@ -291,7 +258,7 @@ class ArModel:
         phi, sigma2 = self.map_params(state)
         return dot(phi, self.hp.design(lags)), sigma2
 
-    def leaf_param_doc(self, state: Optional[ArSufficientStats]) -> dict:
+    def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
         phi, sigma2 = self.map_params(state)
         return {
             "phi": [float(v) for v in phi],

@@ -31,6 +31,11 @@ logger = logging.getLogger(__name__)
 ALPHA0_FLOOR = 1e-8
 _DAMP = 1e-8
 
+# Online refit policy: cheap warm steps most of the time, a periodic full
+# refresh to stay aligned with batch refits.
+WARM_ITERS = 2
+FULL_REFRESH_EVERY = 50
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -243,8 +248,6 @@ def predictive_arch(theta: np.ndarray, z: Sequence[float]) -> tuple[float, float
 class ArchModel:
     """Leaf-model adapter driving the context trie with ARCH states."""
 
-    kind = "arch"
-
     def __init__(self, cfg: ArchConfig):
         self.cfg = cfg
 
@@ -298,8 +301,16 @@ class ArchModel:
         state.log_pe_cached = log_pe_arch_laplace(state, state.theta)
         state.dirty = False
 
-    def warm_refit(self, state: ArchNodeState, iters: int) -> None:
-        self.fit_state(state, warm=True, iters=iters)
+    def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
+        """Warm-refit the path's nodes and refresh the path; every FULL_REFRESH_EVERY-th step, refit all nodes cold."""
+        if step % FULL_REFRESH_EVERY == 0:
+            for _, node in trie.nodes():
+                node.state.dirty = True
+            trie.full_sweep()
+        else:
+            for node in path:
+                self.fit_state(node.state, warm=True, iters=WARM_ITERS)
+            trie.refresh_path(context)
 
     def log_pe(self, state: ArchNodeState) -> float:
         if state.dirty or state.log_pe_cached is None:
@@ -326,9 +337,10 @@ class ArchModel:
             raise RuntimeError("no fitted coefficients available for prediction")
         return predictive_arch(theta, self.design(lags))
 
-    def leaf_param_doc(self, state: Optional[ArchNodeState]) -> dict:
+    def leaf_param_doc(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState] = None) -> dict:
+        """The leaf's coefficients and count; a leaf without data shows the pooled root fit with count 0."""
         theta = self.map_params(state)
-        return {
-            "alpha": None if theta is None else [float(v) for v in theta],
-            "count": 0 if state is None else state.count,
-        }
+        count = 0 if state is None else state.count
+        if theta is None:
+            theta = self.map_params(root_state)  # pooled fallback, as in predict_from_state
+        return {"alpha": None if theta is None else [float(v) for v in theta], "count": count}

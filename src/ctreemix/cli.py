@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -13,7 +14,7 @@ from . import io as sio
 from .fit import fit_series
 from .forecasting import RunConfig, rolling_forecast
 from .quantizer import Quantizer
-from .selection import SelectionGrid, percentile_threshold_grid, select_hyperparams
+from .selection import SelectionGrid, candidate_grid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
 from .tree import TreeModel
 
@@ -46,64 +47,40 @@ def _column(args) -> Optional[object]:
         return args.column
 
 
-def _parse_thresholds(text: str, m: int) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
-    if len(vals) != m - 1:
-        raise ValueError(f"--thresholds needs exactly {m - 1} value(s) for alphabet size {m}, got {len(vals)}")
-    return vals
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _default_depth(args) -> int:
-    if args.depth is not None:
-        return args.depth
-    return 10 if args.model == "ar" else 5
+def _grid(args, train) -> SelectionGrid:
+    """Candidate thresholds and orders from the flags (the percentile grid unless given)."""
+    if args.thresholds is not None:
+        candidates = (_floats(args.thresholds),)
+    elif args.threshold_candidates:
+        candidates = tuple(_floats(group) for group in args.threshold_candidates.split(";") if group.strip())
+    else:
+        candidates = None
+    return candidate_grid(train, args.alphabet, candidates, args.order, args.max_order, args.grid_points)
 
 
-def _threshold_candidates(args, train) -> tuple[tuple[float, ...], ...]:
-    if args.threshold_candidates:
-        out = []
-        for group in args.threshold_candidates.split(";"):
-            if group.strip():
-                out.append(tuple(float(v) for v in group.split(",")))
-        return tuple(out)
-    return percentile_threshold_grid(train, args.alphabet, args.grid_points)
+def _config(args, grid: SelectionGrid) -> RunConfig:
+    """The run config the flags describe, at the first cell of the grid."""
+    depth = {"ar": 10, "arch": 5}[args.model] if args.depth is None else args.depth
+    return RunConfig(kind=args.model, thresholds=grid.thresholds[0], order=grid.orders[0], depth=depth,
+                     beta=args.beta, intercept=args.intercept, fisher_iters=args.fisher_iters)
 
 
 def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
-    """Thresholds/order from flags, running the evidence grid search if needed."""
+    """Thresholds/order from flags, running the evidence grid search if either is open."""
     if args.thresholds is not None and args.auto_thresholds:
         raise ValueError("--thresholds and --auto-thresholds are mutually exclusive")
-    depth = _default_depth(args)
-    need_thr = args.thresholds is None
-    need_order = args.order is None
-    if need_thr and not args.auto_thresholds:
+    if args.thresholds is None and not args.auto_thresholds:
         raise ValueError("give --thresholds or --auto-thresholds")
-    base = RunConfig(
-        kind=args.model,
-        thresholds=(0.0,) * max(args.alphabet - 1, 1),
-        order=1 if args.order is None else args.order,
-        depth=depth,
-        beta=args.beta,
-        intercept=args.intercept,
-        fisher_iters=args.fisher_iters,
-    )
-    if not need_thr and not need_order:
-        cfg = RunConfig(kind=args.model, thresholds=_parse_thresholds(args.thresholds, args.alphabet),
-                        order=args.order, depth=depth, beta=args.beta, intercept=args.intercept,
-                        fisher_iters=args.fisher_iters)
+    grid = _grid(args, train)
+    cfg = _config(args, grid)
+    if args.thresholds is not None and args.order is not None:
         return cfg, None
-    thr_cands = (
-        ( _parse_thresholds(args.thresholds, args.alphabet), )
-        if not need_thr
-        else _threshold_candidates(args, train)
-    )
-    orders = (args.order,) if not need_order else tuple(range(1, args.max_order + 1))
-    grid = SelectionGrid(orders=orders, thresholds=thr_cands)
-    result = select_hyperparams(train, grid, base.make_model, depth, args.beta)
-    cfg = RunConfig(kind=args.model, thresholds=result.thresholds, order=result.order,
-                    depth=depth, beta=args.beta, intercept=args.intercept,
-                    fisher_iters=args.fisher_iters)
-    return cfg, list(result.table)
+    result = select_hyperparams(train, grid, cfg.make_model, cfg.depth, cfg.beta)
+    return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -141,7 +118,7 @@ def cmd_fit(args) -> int:
         train = series
     cfg, table = _resolve_config(args, train)
     fitted = fit_series(train, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
-    doc = sio.model_document(fitted, cfg.kind, transform=tspec, seed=args.seed, selection_table=table)
+    doc = sio.model_document(fitted, cfg, transform=tspec, seed=args.seed, selection_table=table)
     _emit(sio.dumps_canonical(doc), args.output)
     return 0
 
@@ -151,18 +128,7 @@ def cmd_forecast(args) -> int:
     train_len = _train_len(args, len(series))
     if args.from_model:
         with open(args.from_model) as fh:
-            doc = sio.parse_document(fh.read())
-        cfg = RunConfig(
-            kind=doc["model"],
-            thresholds=tuple(doc["quantizer"]["thresholds"]),
-            order=doc["order"],
-            depth=doc["depth"],
-            beta=doc["beta"],
-            intercept=doc.get("intercept", False),
-            tau=(doc.get("prior") or {}).get("tau", 1.0),
-            lam=(doc.get("prior") or {}).get("lam", 1.0),
-            fisher_iters=doc.get("fisher_iters") or 10,
-        )
+            cfg = RunConfig.from_document(sio.parse_document(fh.read()))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
     report = rolling_forecast(series, cfg, train_len=train_len)
@@ -219,16 +185,9 @@ def cmd_sample_trees(args) -> int:
 
 def cmd_evidence_grid(args) -> int:
     series, tspec = _load_series(args)
-    cfg_stub = RunConfig(kind=args.model, thresholds=(0.0,) * max(args.alphabet - 1, 1),
-                         order=1, depth=_default_depth(args), beta=args.beta,
-                         intercept=args.intercept, fisher_iters=args.fisher_iters)
-    if args.thresholds is not None:
-        thr_cands = (_parse_thresholds(args.thresholds, args.alphabet),)
-    else:
-        thr_cands = _threshold_candidates(args, series)
-    orders = (args.order,) if args.order is not None else tuple(range(1, args.max_order + 1))
-    grid = SelectionGrid(orders=orders, thresholds=thr_cands)
-    result = select_hyperparams(series, grid, cfg_stub.make_model, _default_depth(args), args.beta)
+    grid = _grid(args, series)
+    cfg = _config(args, grid)
+    result = select_hyperparams(series, grid, cfg.make_model, cfg.depth, cfg.beta)
     lines = ["thresholds,order,log_evidence,neg_log2_evidence"]
     log2 = float(np.log(2.0))
     for cell in result.table:

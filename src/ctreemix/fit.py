@@ -19,11 +19,6 @@ import numpy as np
 from .quantizer import Quantizer
 from .tree import ContextTrie, TreeModel, default_beta
 
-# Online ARCH refit policy: cheap warm steps most of the time, a periodic
-# full refresh to stay aligned with batch refits.
-ARCH_WARM_ITERS = 2
-ARCH_FULL_REFRESH_EVERY = 50
-
 
 class FittedModel:
     """A fitted trie plus the rolling history needed to predict and update."""
@@ -63,17 +58,7 @@ class FittedModel:
         path = self.trie.observe(x, context, self.current_lags())
         self._history.append(x)
         self._steps_since_fit += 1
-        if self.model.kind == "arch":
-            if self._steps_since_fit % ARCH_FULL_REFRESH_EVERY == 0:
-                for _, node in self.trie.nodes():
-                    node.state.dirty = True
-                self.trie.full_sweep()
-            else:
-                for node in path:
-                    self.model.warm_refit(node.state, ARCH_WARM_ITERS)
-                self.trie.refresh_path(context)
-        else:
-            self.trie.refresh_path(context)
+        self.model.refresh(self.trie, path, context, self._steps_since_fit)
         self._map_tree = self.trie.map_tree()
 
     # -- queries --------------------------------------------------------------
@@ -101,26 +86,20 @@ class FittedModel:
 
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""
-        tree = self.map_tree()
-        leaf = tree.state_of(self.current_context())
-        node = self.trie.walk(leaf)
-        state = node.state if node is not None else None
+        state = self._state(self.map_tree().state_of(self.current_context()))
         return self.model.predict_from_state(state, self.current_lags(), self.trie.root.state)
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
         """MAP parameter document for every leaf of the given (default MAP) tree."""
         if tree is None:
             tree = self.map_tree()
-        out = {}
-        for leaf in tree.leaves:
-            node = self.trie.walk(leaf)
-            state = node.state if node is not None else None
-            doc = self.model.leaf_param_doc(state)
-            if self.model.kind == "arch" and doc["alpha"] is None:
-                doc = self.model.leaf_param_doc(self.trie.root.state)
-                doc["count"] = 0
-            out[leaf] = doc
-        return out
+        root = self.trie.root.state
+        return {leaf: self.model.leaf_param_doc(self._state(leaf), root) for leaf in tree.leaves}
+
+    def _state(self, context: tuple[int, ...]):
+        """The statistics of a context's node, or None if it was never observed."""
+        node = self.trie.walk(context)
+        return node.state if node is not None else None
 
 
 def fit_series(

@@ -20,7 +20,17 @@ from .ar import ArHyperParams, ArModel
 from .arch import ArchConfig, ArchModel
 from .fit import fit_series
 from .quantizer import Quantizer
-from .tree import TreeModel
+from .tree import TreeModel, default_beta
+
+
+def _doc_field(doc: dict, path: str, types: tuple = (int,)):
+    """The value at a dotted path of a fit document, if it has one of the JSON types given."""
+    value = doc
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"model document field {path!r} is missing or malformed")
+    return value
 
 
 @dataclass(frozen=True)
@@ -32,14 +42,16 @@ class RunConfig:
     order: int
     depth: int = 10
     beta: Optional[float] = None
-    intercept: bool = False
-    tau: float = 1.0
-    lam: float = 1.0
-    fisher_iters: int = 10
+    intercept: bool = False  # ar only
+    tau: float = 1.0  # ar only
+    lam: float = 1.0  # ar only
+    fisher_iters: int = 10  # arch only
 
     def __post_init__(self):
         if self.kind not in ("ar", "arch"):
             raise ValueError("kind must be 'ar' or 'arch'")
+        if self.intercept and self.kind != "ar":
+            raise ValueError("an intercept applies to ar leaves only")
 
     def make_model(self, order: Optional[int] = None):
         p = self.order if order is None else order
@@ -49,6 +61,42 @@ class RunConfig:
 
     def quantizer(self) -> Quantizer:
         return Quantizer(self.thresholds)
+
+    def to_document(self) -> dict:
+        """The config fields of a fit document; the other family's knobs are null."""
+        ar = self.kind == "ar"
+        m = len(self.thresholds) + 1
+        return {
+            "model": self.kind,
+            "quantizer": {"thresholds": [float(c) for c in self.thresholds], "alphabet_size": m},
+            "depth": self.depth,
+            "beta": float(default_beta(m) if self.beta is None else self.beta),
+            "order": self.order,
+            "intercept": bool(self.intercept),
+            "prior": {"tau": float(self.tau), "lam": float(self.lam)} if ar else None,
+            "fisher_iters": None if ar else self.fisher_iters,
+        }
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "RunConfig":
+        """Inverse of to_document (a None beta comes back as its value); ValueError names a bad field."""
+        if not isinstance(doc, dict):
+            raise ValueError("model document is not a JSON object")
+        kind = _doc_field(doc, "model", (str,))
+        if kind not in ("ar", "arch"):
+            raise ValueError(f"model document field 'model' is malformed: {kind!r}")
+        thresholds = _doc_field(doc, "quantizer.thresholds", (list,))
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in thresholds):
+            raise ValueError("model document field 'quantizer.thresholds' is missing or malformed")
+        if kind == "ar":
+            family = {"tau": float(_doc_field(doc, "prior.tau", (int, float))),
+                      "lam": float(_doc_field(doc, "prior.lam", (int, float)))}
+        else:
+            family = {"fisher_iters": _doc_field(doc, "fisher_iters")}
+        return cls(kind=kind, thresholds=tuple(float(v) for v in thresholds),
+                   order=_doc_field(doc, "order"), depth=_doc_field(doc, "depth"),
+                   beta=float(_doc_field(doc, "beta", (int, float))),
+                   intercept=_doc_field(doc, "intercept", (bool,)), **family)
 
 
 @dataclass(frozen=True)

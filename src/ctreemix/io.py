@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .forecasting import EvalReport
+from .forecasting import EvalReport, RunConfig
 from .tree import TreeModel
 
 TRANSFORMS = ("none", "diff", "logdiff", "logret10")
@@ -130,29 +130,17 @@ def tree_from_doc(doc: dict, m: int) -> TreeModel:
 
 def model_document(
     fitted,
-    kind: str,
+    config: RunConfig,
     *,
     transform: Optional[TransformSpec] = None,
     seed: Optional[int] = None,
     selection_table: Optional[list] = None,
 ) -> dict:
-    """Serialisable description of a fitted model (MAP tree plus leaf parameters)."""
+    """Serialisable description of a model fitted from `config` (MAP tree plus leaf parameters)."""
     tree = fitted.map_tree()
-    hp = getattr(fitted.model, "hp", None)
-    cfg = getattr(fitted.model, "cfg", None)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "model": kind,
-        "quantizer": {
-            "thresholds": [float(c) for c in fitted.quantizer.thresholds],
-            "alphabet_size": fitted.quantizer.alphabet_size,
-        },
-        "depth": fitted.depth,
-        "beta": float(fitted.beta),
-        "order": fitted.model.order,
-        "intercept": bool(getattr(hp, "intercept", False)),
-        "prior": {"tau": float(hp.tau), "lam": float(hp.lam)} if hp is not None else None,
-        "fisher_iters": cfg.fisher_iters if cfg is not None else None,
+        **config.to_document(),
         "n_scored": fitted.num_scored,
         "log_evidence": float(fitted.log_evidence()),
         "map_posterior": float(fitted.map_posterior()),

@@ -53,11 +53,19 @@ def percentile_threshold_grid(
     return tuple(combinations(grid, m - 1))
 
 
-def default_grid(train: Sequence[float], m: int, max_order: int = 5, points: int = 17) -> SelectionGrid:
-    return SelectionGrid(
-        orders=tuple(range(1, max_order + 1)),
-        thresholds=percentile_threshold_grid(train, m, points),
-    )
+def candidate_grid(train: Sequence[float], m: int, thresholds: Optional[Sequence[tuple[float, ...]]] = None,
+                   order: Optional[int] = None, max_order: int = 5, points: int = 17) -> SelectionGrid:
+    """The given threshold tuples (else the percentile grid) by the given order (else 1..max_order).
+
+    Every candidate must have m - 1 thresholds, so that all cells share one alphabet.
+    """
+    if thresholds is None:
+        thresholds = percentile_threshold_grid(train, m, points)
+    for thr in thresholds:
+        if len(thr) != m - 1:
+            raise ValueError(f"threshold candidate {list(thr)} needs exactly {m - 1} value(s) for alphabet size {m}")
+    orders = tuple(range(1, max_order + 1)) if order is None else (order,)
+    return SelectionGrid(orders=orders, thresholds=tuple(thresholds))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ any object providing::
                       rows i (of x and of the 2-D lags array) with
                       inverse[i] equal to it, as observe would leave it
     log_pe(state)  -> float, log marginal likelihood of the node's data
+    refresh(trie, path, context, step)
+                   -> update the sweeps after the ``step``-th online sample
+                      was observed along ``path`` (``context``'s nodes), e.g.
+                      by ``trie.refresh_path(context)``
 
 Three quantities are maintained per node, all in natural-log domain:
 

@@ -8,6 +8,7 @@ be checked against an independent path.
 from __future__ import annotations
 
 from itertools import product
+from math import log
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from ctreemix import (
     ArHyperParams, ArModel, ArLeaf, ArSufficientStats, FittedModel, GenerativeSpec, Quantizer,
     TreeModel, generate,
 )
+from ctreemix._num import LOG_2PI
 from ctreemix.tree import log_prior
 
 
@@ -65,6 +67,40 @@ def brute_force_log_evidence(series, model, quantizer: Quantizer, depth: int,
     values = np.array(list(joints.values()))
     peak = values.max()
     return float(peak + np.log(np.exp(values - peak).sum())), joints
+
+
+def log_pe_ar_known_variance(
+    stats: ArSufficientStats, sigma2: float, mu0: np.ndarray, sigma0: np.ndarray
+) -> float:
+    """Log marginal likelihood when the noise variance is a known constant.
+
+    The coefficient prior here is N(mu0, sigma0) with a fixed covariance;
+    integrating this quantity against an inverse-gamma prior on sigma2
+    (after scaling sigma0 by sigma2) recovers ``log_pe_ar``, which is
+    how it serves as an independent cross-check.
+    """
+    if sigma2 <= 0:
+        raise ValueError("sigma2 must be positive")
+    n = stats.count
+    if n == 0:
+        return 0.0
+    mu0 = np.asarray(mu0, dtype=float)
+    sigma0 = np.asarray(sigma0, dtype=float)
+    q = stats.dim
+    s2 = np.array(stats.s2)
+    s3 = np.array(stats.s3)
+    prec0 = np.linalg.inv(sigma0)
+    a = s3 + sigma2 * prec0
+    b = s2 + sigma2 * (prec0 @ mu0)
+    sol = np.linalg.solve(a, b)
+    e = stats.s1 + sigma2 * float(mu0 @ prec0 @ mu0) - float(b @ sol)
+    # det(I + sigma0 s3 / sigma2) = det(sigma0) det(s3 + sigma2 prec0) / sigma2^q
+    logdet = (
+        float(np.linalg.slogdet(sigma0)[1])
+        + float(np.linalg.slogdet(a)[1])
+        - q * log(sigma2)
+    )
+    return -0.5 * (n * (LOG_2PI + log(sigma2)) + logdet) - e / (2.0 * sigma2)
 
 
 def random_mixture_series(seed: int, n: int = 30) -> np.ndarray:

@@ -23,6 +23,7 @@ from ctreemix.selection import SelectionGrid, select_hyperparams
 from helpers import (
     brute_force_log_evidence,
     enumerate_trees,
+    log_pe_ar_known_variance,
     random_mixture_series,
     small_ar_model,
 )
@@ -108,7 +109,7 @@ def test_c4_leaf_marginal_quadrature():
 
         def integrand(u):
             s2 = math.exp(u)
-            lp = cm.log_pe_ar_known_variance(st, s2, hp.mu0, s2 * hp.sigma0)
+            lp = log_pe_ar_known_variance(st, s2, hp.mu0, s2 * hp.sigma0)
             return math.exp(lp + stats.invgamma.logpdf(s2, hp.tau, scale=hp.lam) + u)
 
         val, _ = integrate.quad(integrand, -30, 30, epsabs=1e-13, epsrel=1e-10, limit=300)

@@ -14,12 +14,13 @@ from ctreemix import (
     fit_series,
     generate,
     log_pe_ar,
-    log_pe_ar_known_variance,
     posterior_ar,
     update_stats,
     Quantizer,
     TreeModel,
 )
+
+from helpers import log_pe_ar_known_variance
 
 HP1 = ArHyperParams(order=1)
 

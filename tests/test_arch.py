@@ -174,7 +174,7 @@ class TestLaplace:
         model.fit_state(st)
         for k in range(extra.count):
             st.add(extra.xs[k], extra.zs[k])
-            model.warm_refit(st, 2)
+            model.fit_state(st, warm=True, iters=2)
             if (k + 1) % 50 == 0:
                 warm = st.theta.copy()
                 model.fit_state(st)  # cold, full iteration budget
@@ -199,3 +199,11 @@ class TestPredictive:
         mean, var = model.predict_from_state(None, (1.5,), root_state=root)
         assert mean == 0.0
         assert var == pytest.approx(float(root.theta @ np.array([1.0, 2.25])))
+
+    def test_empty_leaf_documents_pooled_fit(self):
+        root = simulate_arch_node(300, (0.2, 0.25), seed=14)
+        model = ArchModel(ArchConfig(order=1, fisher_iters=30))
+        pooled = model.leaf_param_doc(root)
+        assert pooled["count"] == 300 and pooled["alpha"] is not None
+        for empty in (None, ArchNodeState()):
+            assert model.leaf_param_doc(empty, root) == {"alpha": pooled["alpha"], "count": 0}

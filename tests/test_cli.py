@@ -91,6 +91,32 @@ def test_forecast_from_arch_model_document(tmp_path):
     assert doc["order"] == 2 and doc["test_len"] > 0
 
 
+def test_forecast_from_model_keeps_zero_fisher_iters(tmp_path):
+    data = simulate_csv(tmp_path, name="arch_sim", n=600, seed=3)
+    flags = ["--model", "arch", "--thresholds", "0", "--order", "2", "--fisher-iters", "0", "--split", "0.5"]
+    model_doc = tmp_path / "m.json"
+    rep_a = tmp_path / "a.json"
+    rep_b = tmp_path / "b.json"
+    assert run(["fit", str(data), *flags, "-o", str(model_doc)]) == 0
+    assert json.loads(model_doc.read_text())["fisher_iters"] == 0
+    assert run(["forecast", str(data), *flags, "-o", str(rep_a)]) == 0
+    assert run(["forecast", str(data), "--from-model", str(model_doc), "--split", "0.5", "-o", str(rep_b)]) == 0
+    assert rep_a.read_text() == rep_b.read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "not a JSON object"),
+    ('{"model": "ar"}', "'quantizer.thresholds' is missing"),
+], ids=["list", "no-quantizer"])
+def test_forecast_rejects_malformed_model_document(tmp_path, capsys, text, message):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    model_doc = tmp_path / "m.json"
+    model_doc.write_text(text)
+    assert run(["forecast", str(data), "--from-model", str(model_doc), "--split", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_forecast_writes_records(tmp_path):
     data = simulate_csv(tmp_path, n=200, seed=6)
     rep = tmp_path / "rep.json"
@@ -151,6 +177,17 @@ def test_usage_errors(tmp_path, capsys):
     # unknown subcommand exits with argparse usage failure
     with pytest.raises(SystemExit):
         run(["frobnicate"])
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evidence-grid", "--alphabet", "2", "--threshold-candidates=0;-0.5,0.5"], "[-0.5, 0.5] needs exactly 1"),
+    (["fit", "--alphabet", "3", "--auto-thresholds", "--threshold-candidates=-0.5,0.5;0"], "[0.0] needs exactly 2"),
+    (["fit", "--model", "arch", "--intercept", "--thresholds", "0", "--order", "2"], "ar leaves only"),
+], ids=["grid-alphabet", "auto-alphabet", "arch-intercept"])
+def test_rejected_configurations(tmp_path, capsys, args, message):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    assert run([args[0], str(data), *args[1:]]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_spec_file_simulation(tmp_path):

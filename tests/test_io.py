@@ -1,11 +1,13 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ctreemix import Quantizer, TreeModel, builtin_specs, fit_series, generate
 from ctreemix import io as sio
+from ctreemix.forecasting import RunConfig
 
 from helpers import small_ar_model
 
@@ -78,12 +80,14 @@ class TestTransforms:
 
 
 class TestDocuments:
+    config = RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5, beta=0.5)
+
     def fitted(self):
         series = generate(builtin_specs()["sim_1"].spec, 300, seed=0)
         return fit_series(series, small_ar_model(2), Quantizer((0.0,)), 5, 0.5)
 
     def test_model_document_round_trip_is_byte_identical(self):
-        doc = sio.model_document(self.fitted(), "ar", seed=3)
+        doc = sio.model_document(self.fitted(), self.config, seed=3)
         text = sio.dumps_canonical(doc)
         again = sio.dumps_canonical(sio.parse_document(text))
         assert text == again
@@ -95,7 +99,7 @@ class TestDocuments:
         assert sio.tree_from_doc(doc, 2) == tree
 
     def test_document_fields(self):
-        doc = sio.model_document(self.fitted(), "ar", seed=11)
+        doc = sio.model_document(self.fitted(), self.config, seed=11)
         assert doc["model"] == "ar"
         assert doc["quantizer"]["thresholds"] == [0.0]
         assert doc["order"] == 2 and doc["depth"] == 5
@@ -106,8 +110,37 @@ class TestDocuments:
             leaf = leaf["children"][0]
         assert set(leaf["leaf"]) == {"phi", "sigma2", "count"}
 
+    @pytest.mark.parametrize("config", [
+        RunConfig(kind="ar", thresholds=(-0.2, 0.3), order=2, depth=4, beta=0.6,
+                  intercept=True, tau=2.0, lam=0.5),
+        RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3, fisher_iters=0),
+    ], ids=["ar", "arch"])
+    def test_config_round_trip(self, config):
+        series = generate(builtin_specs()["sim_1"].spec, 300, seed=0)
+        fitted = fit_series(series, config.make_model(), config.quantizer(), config.depth, config.beta)
+        text = sio.dumps_canonical(sio.model_document(fitted, config))
+        # a beta left at None is stored as the value it resolved to
+        assert RunConfig.from_document(sio.parse_document(text)) == replace(config, beta=fitted.beta)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.pop("depth"), "'depth'"),
+        (lambda d: d.pop("quantizer"), "'quantizer.thresholds'"),
+        (lambda d: d.update(order="2"), "'order'"),
+        (lambda d: d.update(intercept=1), "'intercept'"),
+        (lambda d: d.update(prior=None), "'prior.tau'"),
+        (lambda d: d.update(model="garch"), "'model'"),
+        (lambda d: d["quantizer"].update(thresholds=["0"]), "'quantizer.thresholds'"),
+        (lambda d: d.update(model="arch", fisher_iters=None), "'fisher_iters'"),
+    ], ids=["no-depth", "no-quantizer", "order-str", "intercept-int", "ar-no-prior", "bad-model",
+            "threshold-str", "arch-no-iters"])
+    def test_config_from_malformed_document(self, edit, field):
+        doc = sio.parse_document(sio.dumps_canonical(sio.model_document(self.fitted(), self.config)))
+        edit(doc)
+        with pytest.raises(ValueError, match=field):
+            RunConfig.from_document(doc)
+
     def test_records_csv(self, tmp_path):
-        from ctreemix.forecasting import RunConfig, rolling_forecast
+        from ctreemix.forecasting import rolling_forecast
 
         series = generate(builtin_specs()["sim_1"].spec, 120, seed=1)
         rep = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=4))

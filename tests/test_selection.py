@@ -5,7 +5,7 @@ from ctreemix import builtin_specs, generate
 from ctreemix.forecasting import RunConfig
 from ctreemix.selection import (
     SelectionGrid,
-    default_grid,
+    candidate_grid,
     percentile_threshold_grid,
     select_hyperparams,
 )
@@ -95,7 +95,7 @@ def test_threshold_ar_data_prefers_long_memory():
     wins = 0
     for seed in range(8):
         series = generate(spec, 200, seed=seed)
-        grid = default_grid(series[:100], 2, max_order=5)
+        grid = candidate_grid(series[:100], 2, max_order=5)
         res = select_hyperparams(series[:100], grid, ar_factory(), depth=10)
         wins += res.order == 5
     assert wins >= 5
