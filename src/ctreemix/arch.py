@@ -12,7 +12,8 @@ likelihood estimate theta_hat by the Laplace method,
 
 with I_hat the expected information.  Unlike the AR case, the scoring
 iterations need repeated passes over a node's data, so each state retains
-its (x_i, z_{i-1}) pairs.
+its rows as arrays: the observations xs, shape (n,), and the design rows
+z_{i-1} as zs, shape (n, p+1).
 """
 
 from __future__ import annotations
@@ -52,20 +53,19 @@ class ArchConfig:
 
 
 class ArchNodeState:
-    """Per-node observations plus the cached fit."""
+    """A node's rows, xs (n,) and zs (n, p+1), plus the cached fit.
 
-    __slots__ = ("xs", "zs", "_x2", "_z", "_len_cached", "theta", "log_pe_cached",
-                 "dirty", "flagged", "nonconverged")
+    The arrays are never written in place: ``add`` builds new ones, so a
+    state may hold views of arrays shared with other states.
+    """
 
-    def __init__(self):
-        self.xs: list[float] = []
-        self.zs: list[tuple[float, ...]] = []
-        self._x2: Optional[np.ndarray] = None
-        self._z: Optional[np.ndarray] = None
-        self._len_cached = 0
+    __slots__ = ("xs", "zs", "theta", "log_pe_cached", "flagged", "nonconverged")
+
+    def __init__(self, xs: Optional[np.ndarray] = None, zs: Optional[np.ndarray] = None):
+        self.xs = np.empty(0) if xs is None else xs
+        self.zs = np.empty((0, 0)) if zs is None else zs
         self.theta: Optional[np.ndarray] = None
-        self.log_pe_cached: Optional[float] = None
-        self.dirty = True
+        self.log_pe_cached: Optional[float] = None  # None: the fit is stale
         self.flagged = False        # too few observations for a trustworthy fit
         self.nonconverged = False
 
@@ -73,20 +73,11 @@ class ArchNodeState:
     def count(self) -> int:
         return len(self.xs)
 
-    def add(self, x: float, z: tuple[float, ...]) -> None:
-        self.xs.append(x)
-        self.zs.append(z)
-        self.dirty = True
+    def add(self, x: float, z: Sequence[float]) -> None:
+        row = np.array([z], dtype=float)
+        self.zs = np.vstack((self.zs, row)) if self.count else row
+        self.xs = np.append(self.xs, x)
         self.log_pe_cached = None
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Squared observations and design matrix, cached between fits."""
-        if self._len_cached != len(self.xs):
-            x = np.asarray(self.xs)
-            self._x2 = x * x
-            self._z = np.asarray(self.zs)
-            self._len_cached = len(self.xs)
-        return self._x2, self._z
 
 
 def project_feasible(theta: np.ndarray) -> np.ndarray:
@@ -101,11 +92,10 @@ def arch_loglik(state: ArchNodeState, theta: np.ndarray) -> float:
     n = state.count
     if n == 0:
         return 0.0
-    x2, z = state.arrays()
-    sigma2 = z @ theta
+    sigma2 = state.zs @ theta
     if np.any(sigma2 <= 0.0):
         raise ValueError("theta yields non-positive conditional variance")
-    return -0.5 * n * LOG_2PI - 0.5 * float(np.sum(np.log(sigma2) + x2 / sigma2))
+    return -0.5 * n * LOG_2PI - 0.5 * float(np.sum(np.log(sigma2) + state.xs * state.xs / sigma2))
 
 
 def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,11 +104,11 @@ def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.nda
     score = 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}
     info  = 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'
     """
-    x2, z = state.arrays()
+    z = state.zs
     sigma2 = z @ theta
     if np.any(sigma2 <= 0.0):
         raise ValueError("theta yields non-positive conditional variance")
-    w = (x2 / sigma2 - 1.0) / sigma2
+    w = (state.xs * state.xs / sigma2 - 1.0) / sigma2
     score = 0.5 * (z.T @ w)
     zw = z / sigma2[:, None]
     info = 0.5 * (zw.T @ zw)
@@ -136,7 +126,7 @@ def _solve_damped(info: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def initial_theta(state: ArchNodeState, order: int) -> np.ndarray:
     """Feasible scale-aware starting point: sample variance level, small lags."""
     theta = np.full(order + 1, 0.05)
-    theta[0] = max(float(np.var(np.asarray(state.xs))) if state.count else 1.0, ALPHA0_FLOOR)
+    theta[0] = max(float(np.var(state.xs)) if state.count else 1.0, ALPHA0_FLOOR)
     return theta
 
 
@@ -203,16 +193,16 @@ def log_pe_arch_laplace(state: ArchNodeState, theta_hat: np.ndarray) -> float:
     sits on the edge of the prior support (lag coefficients clamp at 0),
     the Gaussian mass falling outside the feasible box is removed via
     per-coordinate truncation factors; at interior optima these factors are
-    1 and the plain formula is recovered.  Nodes with fewer than p + 2
-    observations get a damped information matrix and are flagged.
+    1 and the plain formula is recovered.  Each call sets ``state.flagged``
+    afresh: a node is flagged if it has fewer than p + 2 observations or a
+    singular information matrix, which is then damped.
     """
     n = state.count
     if n == 0:
         return 0.0
     q = theta_hat.shape[0]
     _, info = arch_score_and_info(state, theta_hat)
-    if n < q + 1:
-        state.flagged = True
+    state.flagged = n < q + 1
     sign, logdet = np.linalg.slogdet(info)
     if sign <= 0 or not np.isfinite(logdet):
         state.flagged = True
@@ -272,24 +262,16 @@ class ArchModel:
         """
         rows = np.argsort(inverse, kind="stable")
         sq = lags[rows, : self.cfg.order]
-        z = np.column_stack([np.ones(len(rows)), sq * sq]).tolist()
-        xs = x[rows].tolist()
-        states = []
-        start = 0
-        for end in np.cumsum(np.bincount(inverse)).tolist():
-            state = ArchNodeState()
-            state.xs = xs[start:end]
-            state.zs = [tuple(r) for r in z[start:end]]
-            states.append(state)
-            start = end
-        return states
+        z = np.column_stack([np.ones(len(rows)), sq * sq])
+        xs = x[rows]
+        ends = np.cumsum(np.bincount(inverse)).tolist()
+        return [ArchNodeState(xs[a:b], z[a:b]) for a, b in zip([0] + ends, ends)]
 
     def fit_state(self, state: ArchNodeState, warm: bool = False, iters: Optional[int] = None) -> None:
         """(Re)fit the node MLE and cache its approximate log marginal."""
         if state.count == 0:
             state.theta = None
             state.log_pe_cached = 0.0
-            state.dirty = False
             return
         if iters is None:
             iters = self.cfg.fisher_iters
@@ -299,13 +281,12 @@ class ArchModel:
             init = initial_theta(state, self.cfg.order)
         state.theta = fisher_scoring(state, init, iters)
         state.log_pe_cached = log_pe_arch_laplace(state, state.theta)
-        state.dirty = False
 
     def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
         """Warm-refit the path's nodes and refresh the path; every FULL_REFRESH_EVERY-th step, refit all nodes cold."""
         if step % FULL_REFRESH_EVERY == 0:
             for _, node in trie.nodes():
-                node.state.dirty = True
+                node.state.log_pe_cached = None
             trie.full_sweep()
         else:
             for node in path:
@@ -313,15 +294,14 @@ class ArchModel:
             trie.refresh_path(context)
 
     def log_pe(self, state: ArchNodeState) -> float:
-        if state.dirty or state.log_pe_cached is None:
+        if state.log_pe_cached is None:
             self.fit_state(state)
         return state.log_pe_cached
 
     def map_params(self, state: Optional[ArchNodeState]) -> Optional[np.ndarray]:
         if state is None or state.count == 0:
             return None
-        if state.dirty or state.theta is None:
-            self.fit_state(state)
+        self.log_pe(state)  # refits a stale state
         return state.theta
 
     def predict_from_state(

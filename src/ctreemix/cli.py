@@ -32,7 +32,10 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold-candidates", type=str, default=None,
                    help="explicit candidate list, e.g. '-0.1;-0.05;0;0.05;0.1' (tuples comma-separated)")
     p.add_argument("--intercept", action="store_true", help="include a constant term (ar only)")
-    p.add_argument("--fisher-iters", type=int, default=10, help="scoring iterations per node (arch only)")
+    p.add_argument("--fisher-iters", type=int, default=None, help="scoring iterations per node (arch only, default 10)")
+
+
+def _add_series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--transform", choices=sio.TRANSFORMS, default="none")
     p.add_argument("--column", type=str, default=None, help="CSV column name or index")
     p.add_argument("--seed", type=int, default=0)
@@ -64,9 +67,20 @@ def _grid(args, train) -> SelectionGrid:
 
 def _config(args, grid: SelectionGrid) -> RunConfig:
     """The run config the flags describe, at the first cell of the grid."""
+    if args.fisher_iters is not None and args.model != "arch":
+        raise ValueError("--fisher-iters applies to arch leaves only")
     depth = {"ar": 10, "arch": 5}[args.model] if args.depth is None else args.depth
+    fisher_iters = RunConfig.fisher_iters if args.fisher_iters is None else args.fisher_iters
     return RunConfig(kind=args.model, thresholds=grid.thresholds[0], order=grid.orders[0], depth=depth,
-                     beta=args.beta, intercept=args.intercept, fisher_iters=args.fisher_iters)
+                     beta=args.beta, intercept=args.intercept, fisher_iters=fisher_iters)
+
+
+def _model_flags_given(args) -> list[str]:
+    """The model flags whose values differ from their defaults."""
+    probe = argparse.ArgumentParser()
+    _add_model_flags(probe)
+    defaults = vars(probe.parse_args([]))
+    return ["--" + name.replace("_", "-") for name, value in defaults.items() if getattr(args, name) != value]
 
 
 def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
@@ -127,6 +141,10 @@ def cmd_forecast(args) -> int:
     series, tspec = _load_series(args)
     train_len = _train_len(args, len(series))
     if args.from_model:
+        given = _model_flags_given(args)
+        if given:
+            raise ValueError(f"{', '.join(given)} cannot be combined with --from-model, "
+                             "which takes the model from its document")
         with open(args.from_model) as fh:
             cfg = RunConfig.from_document(sio.parse_document(fh.read()))
     else:
@@ -238,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model and emit its JSON document")
     p_fit.add_argument("input")
     _add_model_flags(p_fit)
+    _add_series_flags(p_fit)
     p_fit.add_argument("--split", type=float, default=None,
                        help="fit on the training prefix only (<1: fraction, >=1: count)")
     p_fit.add_argument("--test-last", type=int, default=None, help="train on all but the last N samples")
@@ -247,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("forecast", help="rolling one-step evaluation over a test split")
     p_fc.add_argument("input")
     _add_model_flags(p_fc)
+    _add_series_flags(p_fc)
     p_fc.add_argument("--split", type=float, default=None,
                       help="training share (<1: fraction, >=1: count; default 0.5)")
     p_fc.add_argument("--test-last", type=int, default=None, help="use the last N samples as test set")
@@ -266,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser("sample-trees", help="draw posterior tree samples with frequencies")
     p_st.add_argument("input")
     _add_model_flags(p_st)
+    _add_series_flags(p_st)
     p_st.add_argument("--count", type=int, default=1000)
     p_st.add_argument("--output", "-o", default=None)
     p_st.set_defaults(func=cmd_sample_trees)
@@ -273,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eg = sub.add_parser("evidence-grid", help="evidence table over threshold/order candidates")
     p_eg.add_argument("input")
     _add_model_flags(p_eg)
+    _add_series_flags(p_eg)
     p_eg.add_argument("--output", "-o", default=None)
     p_eg.set_defaults(func=cmd_evidence_grid)
 

@@ -35,7 +35,6 @@ class FittedModel:
         self.init_len = max(depth, model.order)
         self._history: deque[float] = deque(maxlen=max(self.init_len, 1))
         self._steps_since_fit = 0
-        self._map_tree: Optional[TreeModel] = None
 
     # -- state derived from the rolling history ------------------------------
 
@@ -50,7 +49,7 @@ class FittedModel:
     # -- fitting and sequential updates --------------------------------------
 
     def update(self, x: float) -> None:
-        """Absorb one new sample and refresh evidence, MAP tree and parameters."""
+        """Absorb one new sample and refresh the evidence and the MAP decisions."""
         x = float(x)
         if not isfinite(x):
             raise ValueError("series contains non-finite values")
@@ -59,7 +58,6 @@ class FittedModel:
         self._history.append(x)
         self._steps_since_fit += 1
         self.model.refresh(self.trie, path, context, self._steps_since_fit)
-        self._map_tree = self.trie.map_tree()
 
     # -- queries --------------------------------------------------------------
 
@@ -71,9 +69,7 @@ class FittedModel:
         return self.trie.log_evidence()
 
     def map_tree(self) -> TreeModel:
-        if self._map_tree is None:
-            self._map_tree = self.trie.map_tree()
-        return self._map_tree
+        return self.trie.map_tree()
 
     def map_posterior(self) -> float:
         return self.trie.posterior_of(self.map_tree())
@@ -86,7 +82,8 @@ class FittedModel:
 
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""
-        state = self._state(self.map_tree().state_of(self.current_context()))
+        node = self.trie.map_node(self.current_context())
+        state = node.state if node is not None else None
         return self.model.predict_from_state(state, self.current_lags(), self.trie.root.state)
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
@@ -132,5 +129,4 @@ def fit_series(
     fitted.trie.observe_all(contexts, series[init:], lags)
     fitted._history.extend(series[max(n - fitted._history.maxlen, 0) :].tolist())
     fitted.trie.full_sweep()
-    fitted._map_tree = fitted.trie.map_tree()
     return fitted

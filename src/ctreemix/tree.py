@@ -331,6 +331,25 @@ class ContextTrie:
         self._extract(self.root, 0, (), leaves)
         return TreeModel(self.m, tuple(leaves))
 
+    def map_node(self, context: Sequence[int]) -> Optional[_Node]:
+        """The node of the MAP-tree leaf that prefixes a length-D context, in O(D).
+
+        Walks from the root along the context and stops where ``map_tree``
+        would make a leaf: at a node whose leaf wins, at depth D, or at a
+        context never observed, for which it returns None.
+        """
+        self._require_swept()
+        if len(context) != self.depth:
+            raise ValueError(f"context length {len(context)} != depth {self.depth}")
+        node = self.root
+        for sym in context:
+            if node.leaf_wins:
+                break
+            node = node.children[sym]
+            if node is None:
+                break
+        return node
+
     def _extract(self, node: Optional[_Node], depth: int, prefix: tuple[int, ...], leaves):
         if node is None or depth == self.depth or node.leaf_wins:
             leaves.append(prefix)

@@ -145,5 +145,5 @@ def trie_contents(trie) -> dict:
         if isinstance(st, ArSufficientStats):
             out[context] = (st.count, st.s1, st.s2, st.s3)
         else:
-            out[context] = (st.xs, st.zs)
+            out[context] = (st.xs.tolist(), st.zs.tolist())
     return out

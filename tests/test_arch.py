@@ -166,6 +166,17 @@ class TestLaplace:
         assert math.isfinite(value)
         assert st.flagged
 
+    def test_flag_clears_once_node_has_data(self):
+        st = simulate_arch_node(2, (0.3, 0.2, 0.1), seed=11)
+        model = ArchModel(ArchConfig(order=2, fisher_iters=10))
+        model.log_pe(st)
+        assert st.flagged
+        extra = simulate_arch_node(200, (0.3, 0.2, 0.1), seed=12)
+        for k in range(extra.count):
+            st.add(extra.xs[k], extra.zs[k])
+        model.log_pe(st)
+        assert st.count == 202 and not st.flagged
+
     def test_warm_refit_tracks_cold_refit(self):
         # online policy: two warm steps per update, full refresh periodically
         st = simulate_arch_node(400, (0.2, 0.25), seed=12)

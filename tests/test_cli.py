@@ -104,6 +104,34 @@ def test_forecast_from_model_keeps_zero_fisher_iters(tmp_path):
     assert rep_a.read_text() == rep_b.read_text()
 
 
+def test_forecast_from_model_rejects_model_flags(tmp_path, capsys):
+    data = simulate_csv(tmp_path, n=300, seed=3)
+    model_doc = tmp_path / "m.json"
+    assert run(["fit", str(data), "--thresholds", "0", "--order", "2", "-o", str(model_doc)]) == 0
+    for flags, named in [
+        (["--order", "5", "--thresholds", "0.7"], "--order, --thresholds"),
+        (["--model", "arch"], "--model"),
+        (["--depth", "4"], "--depth"),
+        (["--max-order", "3"], "--max-order"),
+        (["--beta", "0.6"], "--beta"),
+        (["--alphabet", "3"], "--alphabet"),
+        (["--auto-thresholds"], "--auto-thresholds"),
+        (["--grid-points", "5"], "--grid-points"),
+        (["--threshold-candidates=0;0.1"], "--threshold-candidates"),
+        (["--intercept"], "--intercept"),
+        (["--fisher-iters", "10"], "--fisher-iters"),
+    ]:
+        assert run(["forecast", str(data), "--from-model", str(model_doc), *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named} cannot be combined with --from-model")
+    # data flags, and model flags left at their defaults, stay allowed
+    rep = tmp_path / "rep.json"
+    assert run([
+        "forecast", str(data), "--from-model", str(model_doc), "--model", "ar", "--max-order", "5",
+        "--split", "0.6", "--transform", "none", "--column", "value", "--seed", "2", "-o", str(rep),
+    ]) == 0
+    assert json.loads(rep.read_text())["order"] == 2
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "not a JSON object"),
     ('{"model": "ar"}', "'quantizer.thresholds' is missing"),
@@ -183,7 +211,8 @@ def test_usage_errors(tmp_path, capsys):
     (["evidence-grid", "--alphabet", "2", "--threshold-candidates=0;-0.5,0.5"], "[-0.5, 0.5] needs exactly 1"),
     (["fit", "--alphabet", "3", "--auto-thresholds", "--threshold-candidates=-0.5,0.5;0"], "[0.0] needs exactly 2"),
     (["fit", "--model", "arch", "--intercept", "--thresholds", "0", "--order", "2"], "ar leaves only"),
-], ids=["grid-alphabet", "auto-alphabet", "arch-intercept"])
+    (["fit", "--model", "ar", "--fisher-iters", "3", "--thresholds", "0", "--order", "2"], "arch leaves only"),
+], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1

@@ -74,6 +74,18 @@ def test_updates_after_columnar_fit_match_refits():
     assert_same_fit(fitted, per_sample_fit(series, small_ar_model(2), q, 6))
 
 
+def test_arch_updates_after_columnar_fit_hold_the_refit_rows():
+    # ARCH evidence depends on the warm-refit history, so compare node data only
+    series = generate(ARCH_SIM, 400, seed=7)[:400]
+    q = Quantizer((0.0,))
+    fitted = fit_series(series[:250], ArchModel(ArchConfig(order=3)), q, 4)
+    for v in series[250:]:
+        fitted.update(float(v))
+    reference = per_sample_fit(series, ArchModel(ArchConfig(order=3)), q, 4)
+    assert fitted.trie.num_nodes == reference.trie.num_nodes
+    assert trie_contents(fitted.trie) == trie_contents(reference.trie)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_update_rejects_non_finite_without_changing_state(bad):
     series = generate(SIM_1, 200, seed=5)

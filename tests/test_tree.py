@@ -1,12 +1,13 @@
 """Trie recursions checked against exhaustive enumeration over small tree classes."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from ctreemix import ArHyperParams, ArModel, Quantizer, TreeModel, fit_series
+from ctreemix import ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series, generate
 from ctreemix.tree import ContextTrie, default_beta, log_prior
 
 from helpers import (
@@ -122,6 +123,17 @@ class TestMapTree:
         assert joints[got.leaves] == pytest.approx(max(joints.values()), abs=1e-9)
         assert got.leaves == best
         assert f.trie.log_map_score() == pytest.approx(max(joints.values()), abs=1e-9)
+
+    # sim_2 n=100 seed 0 at depth 3: MAP leaves at depths 1 and 2 and never-observed contexts
+    @pytest.mark.parametrize("depth", [0, 2, 3])
+    def test_map_node_is_the_map_tree_leaf(self, depth):
+        series = generate(builtin_specs()["sim_2"].spec, 100, seed=0)
+        f = fit_series(series, small_ar_model(2), Quantizer((-0.5, 0.5)), depth)
+        tree = f.map_tree()
+        for context in itertools.product(range(3), repeat=depth):
+            assert f.trie.map_node(context) is f.trie.walk(tree.state_of(context))
+        with pytest.raises(ValueError):
+            f.trie.map_node((0,) * (depth + 1))
 
     def test_beta_below_half_warns(self):
         with pytest.warns(UserWarning):
