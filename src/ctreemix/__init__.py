@@ -16,7 +16,6 @@ from .ar import (
     ArSufficientStats,
     log_pe_ar,
     posterior_ar,
-    update_stats,
 )
 from .arch import (
     ArchConfig,
@@ -26,12 +25,11 @@ from .arch import (
     arch_score_and_info,
     fisher_scoring,
     log_pe_arch_laplace,
-    predictive_arch,
 )
 from .fit import FittedModel, fit_series
 from .forecasting import EvalReport, ForecastRecord, RunConfig, rolling_forecast
 from .io import TransformSpec, apply_transform, ingest_csv, model_document
-from .quantizer import Quantizer, context_at
+from .quantizer import Quantizer
 from .selection import SelectionGrid, percentile_threshold_grid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
 from .tree import ContextTrie, TreeModel, default_beta, log_prior
@@ -40,13 +38,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
-    "log_pe_ar", "posterior_ar", "update_stats",
+    "log_pe_ar", "posterior_ar",
     "ArchConfig", "ArchModel", "ArchNodeState",
-    "arch_loglik", "arch_score_and_info", "fisher_scoring", "log_pe_arch_laplace", "predictive_arch",
+    "arch_loglik", "arch_score_and_info", "fisher_scoring", "log_pe_arch_laplace",
     "FittedModel", "fit_series",
     "EvalReport", "ForecastRecord", "RunConfig", "rolling_forecast",
     "TransformSpec", "apply_transform", "ingest_csv", "model_document",
-    "Quantizer", "context_at",
+    "Quantizer",
     "SelectionGrid", "percentile_threshold_grid", "select_hyperparams",
     "ArLeaf", "ArchLeaf", "GenerativeSpec", "builtin_specs", "generate",
     "ContextTrie", "TreeModel", "default_beta", "log_prior",

@@ -1,13 +1,12 @@
-"""Small numeric helpers used in the per-node hot paths.
+"""Scalar numeric helpers shared by the leaf models and the tree sweeps.
 
-The per-node linear algebra is tiny (matrices of size <= ~7), where the
-fixed overhead of numpy calls dominates the actual arithmetic.  These
-pure-Python routines keep the tree sweeps fast; everything is float64.
+The per-node combine step of the sweeps works on Python floats, one node
+at a time; everything is float64.
 """
 
 from __future__ import annotations
 
-from math import exp, log, log1p, sqrt
+from math import exp, log, log1p
 
 LOG_2PI = log(2.0 * 3.141592653589793)
 
@@ -20,61 +19,3 @@ def log_add(a: float, b: float) -> float:
     if d < -745.0:  # exp underflows to 0
         return a
     return a + log1p(exp(d))
-
-
-def chol_lower(a: list[list[float]]) -> list[list[float]]:
-    """Cholesky factor L (lower) of a symmetric positive-definite matrix.
-
-    Raises ArithmeticError if a pivot is non-positive.
-    """
-    n = len(a)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        li = low[i]
-        for j in range(i + 1):
-            s = ai[j]
-            lj = low[j]
-            for k in range(j):
-                s -= li[k] * lj[k]
-            if i == j:
-                if s <= 0.0:
-                    raise ArithmeticError("matrix not positive definite")
-                li[j] = sqrt(s)
-            else:
-                li[j] = s / lj[j]
-    return low
-
-
-def chol_solve(low: list[list[float]], b: list[float]) -> list[float]:
-    """Solve A x = b given the Cholesky factor L of A (A = L L^T)."""
-    n = len(b)
-    y = [0.0] * n
-    for i in range(n):
-        s = b[i]
-        li = low[i]
-        for k in range(i):
-            s -= li[k] * y[k]
-        y[i] = s / li[i]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= low[k][i] * x[k]
-        x[i] = s / low[i][i]
-    return x
-
-
-def chol_logdet(low: list[list[float]]) -> float:
-    """log det(A) from the Cholesky factor of A."""
-    s = 0.0
-    for i in range(len(low)):
-        s += log(low[i][i])
-    return 2.0 * s
-
-
-def dot(a, b) -> float:
-    s = 0.0
-    for x, y in zip(a, b):
-        s += x * y
-    return s

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._num import LOG_2PI, chol_logdet, chol_lower, chol_solve, dot
+from ._num import LOG_2PI
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,11 @@ class ArHyperParams:
             raise ValueError(f"sigma0 must be a symmetric {q}x{q} matrix")
         object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "sigma0", sigma0)
-        # Derived prior quantities, stored as plain lists for the hot path.
         low0 = np.linalg.cholesky(sigma0)  # raises if not PD
         prec0 = np.linalg.inv(sigma0)
         prec0 = 0.5 * (prec0 + prec0.T)
-        object.__setattr__(self, "_prec0", [list(map(float, row)) for row in prec0])
-        object.__setattr__(self, "_prec0_mu0", list(map(float, prec0 @ mu0)))
+        object.__setattr__(self, "_prec0", prec0)
+        object.__setattr__(self, "_prec0_mu0", prec0 @ mu0)
         object.__setattr__(self, "_mu0_prec0_mu0", float(mu0 @ prec0 @ mu0))
         object.__setattr__(self, "_logdet_sigma0", float(2.0 * np.log(np.diag(low0)).sum()))
 
@@ -82,74 +81,76 @@ class ArHyperParams:
 
 
 class ArSufficientStats:
-    """Running sums for one node; updated a single observation at a time."""
+    """A node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
+
+    The arrays may be row views of arrays shared by the nodes of one depth;
+    a node only ever adds to its own rows.
+    """
 
     __slots__ = ("count", "s1", "s2", "s3")
 
     def __init__(self, dim: int):
         self.count = 0
         self.s1 = 0.0
-        self.s2 = [0.0] * dim
-        self.s3 = [[0.0] * dim for _ in range(dim)]
+        self.s2 = np.zeros(dim)
+        self.s3 = np.zeros((dim, dim))
 
     @property
     def dim(self) -> int:
         return len(self.s2)
 
     @classmethod
-    def from_sums(cls, count: int, s1: float, s2: list[float], s3: list[list[float]]) -> "ArSufficientStats":
-        """Statistics holding the given sums (the lists are kept, not copied)."""
+    def from_sums(cls, count: int, s1: float, s2: np.ndarray, s3: np.ndarray) -> "ArSufficientStats":
+        """Statistics holding the given sums (the arrays are kept, not copied)."""
         out = cls.__new__(cls)
         out.count, out.s1, out.s2, out.s3 = count, s1, s2, s3
         return out
 
-    def copy(self) -> "ArSufficientStats":
-        return ArSufficientStats.from_sums(self.count, self.s1, list(self.s2), [list(row) for row in self.s3])
+
+def _posterior_core(states: Sequence[ArSufficientStats], hp: ArHyperParams):
+    """The stack a = s3 + prec0, the solutions loc of a loc = s2 + prec0 mu0, and d; one row per state.
+
+    LAPACK solves each matrix of a stack on its own and every other step is
+    elementwise, so a state's row does not depend on the other states.
+    """
+    a = np.array([st.s3 for st in states])
+    a += hp._prec0
+    b = np.array([st.s2 for st in states])
+    b += hp._prec0_mu0
+    loc = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    b_loc = b[:, 0] * loc[:, 0]
+    for i in range(1, b.shape[1]):  # column by column: the same summation order for any batch
+        b_loc += b[:, i] * loc[:, i]
+    d = np.array([st.s1 for st in states]) + hp._mu0_prec0_mu0 - b_loc
+    return a, loc, np.maximum(d, 0.0)  # roundoff guard; d is a residual quadratic form
 
 
-def update_stats(stats: ArSufficientStats, x: float, design: Sequence[float]) -> None:
-    """Accumulate one observation x with its design vector."""
-    stats.count += 1
-    stats.s1 += x * x
-    s2 = stats.s2
-    s3 = stats.s3
-    q = len(s2)
-    for a in range(q):
-        da = design[a]
-        s2[a] += x * da
-        row = s3[a]
-        for b in range(q):
-            row[b] += da * design[b]
+def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[float]:
+    """Log marginal likelihood of each state's data, parameters integrated out.
 
-
-def _posterior_core(stats: ArSufficientStats, hp: ArHyperParams):
-    """Cholesky of (s3 + prec0), solution of the location system, and d."""
-    q = stats.dim
-    prec0 = hp._prec0
-    a = [[stats.s3[i][j] + prec0[i][j] for j in range(q)] for i in range(q)]
-    b = [stats.s2[i] + hp._prec0_mu0[i] for i in range(q)]
-    low = chol_lower(a)
-    loc = chol_solve(low, b)
-    d = stats.s1 + hp._mu0_prec0_mu0 - dot(b, loc)
-    if d < 0.0:  # roundoff guard; d is a residual quadratic form
-        d = 0.0
-    return low, loc, d
-
-
-def log_pe_ar(stats: ArSufficientStats, hp: ArHyperParams) -> float:
-    """Log marginal likelihood of the node's data, parameters integrated out."""
-    n = stats.count
-    if n == 0:
-        return 0.0
-    low, _, d = _posterior_core(stats, hp)
-    logdet = hp._logdet_sigma0 + chol_logdet(low)  # log det(I + Sigma0 s3)
-    return (
-        -0.5 * (n * LOG_2PI + logdet)
-        + lgamma(hp.tau + 0.5 * n)
-        + hp.tau * log(hp.lam)
-        - lgamma(hp.tau)
-        - (hp.tau + 0.5 * n) * log(hp.lam + 0.5 * d)
-    )
+    One call scores a whole batch with one stacked Cholesky factorisation
+    and one stacked solve; each value is bit-identical to scoring its state
+    alone.  Raises np.linalg.LinAlgError if a matrix s3 + prec0 is not
+    numerically positive definite.
+    """
+    a, _, d = _posterior_core(states, hp)
+    diag = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).tolist()
+    tau, lam = hp.tau, hp.lam
+    prior = tau * log(lam) - lgamma(tau)
+    out = []
+    for st, low_diag, d_k in zip(states, diag, d.tolist()):
+        n = st.count
+        if n == 0:
+            out.append(0.0)
+            continue
+        logdet = hp._logdet_sigma0 + 2.0 * sum(map(log, low_diag))  # log det(I + Sigma0 s3)
+        out.append(
+            -0.5 * (n * LOG_2PI + logdet)
+            + lgamma(tau + 0.5 * n)
+            + prior
+            - (tau + 0.5 * n) * log(lam + 0.5 * d_k)
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,20 +176,14 @@ class ArPosterior:
 def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     """Exact coefficient/variance posterior for one node."""
     n = stats.count
-    low, loc, d = _posterior_core(stats, hp)
-    q = stats.dim
-    # (s3 + prec0)^{-1} from the Cholesky factor, column by column.
-    inv_a = np.empty((q, q))
-    for j in range(q):
-        e = [0.0] * q
-        e[j] = 1.0
-        inv_a[:, j] = chol_solve(low, e)
+    a, loc, d = _posterior_core([stats], hp)
+    inv_a = np.linalg.inv(a[0])
     inv_a = 0.5 * (inv_a + inv_a.T)
+    d = float(d[0])
     df = 2.0 * hp.tau + n
-    scale = ((2.0 * hp.lam + d) / df) * inv_a
     return ArPosterior(
-        mean=np.array(loc),
-        scale=scale,
+        mean=loc[0],
+        scale=((2.0 * hp.lam + d) / df) * inv_a,
         df=df,
         ig_shape=hp.tau + 0.5 * n,
         ig_scale=hp.lam + 0.5 * d,
@@ -208,15 +203,27 @@ class ArModel:
     def new_state(self) -> ArSufficientStats:
         return ArSufficientStats(self.hp.dim)
 
-    def observe(self, state: ArSufficientStats, x: float, lags: Sequence[float]) -> None:
-        update_stats(state, x, self.hp.design(lags))
+    def observe(self, states: Sequence[ArSufficientStats], x: float, lags: Sequence[float]) -> None:
+        """Add one sample to each state, in place.
+
+        The terms are the float64 products observe_batch sums, so adding
+        them continues its in-order sums bit for bit.
+        """
+        design = np.array(self.hp.design(lags))
+        xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
+        for st in states:
+            st.count += 1
+            st.s1 += xx
+            st.s2 += xd
+            st.s3 += dd
 
     def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArSufficientStats]:
         """One state per index 0..K-1 of inverse, holding the sums of the rows mapped to it.
 
         np.bincount adds its weights in input order starting from 0.0, as
-        update_stats does one sample at a time, and each product is the
-        same float64 product, so every sum is bit-identical to the loop.
+        observe does one sample at a time, and each product is the same
+        float64 product, so every sum is bit-identical to the loop.  State k
+        holds the row views s2[k] and s3[k] of the depth's arrays.
         """
         design = lags[:, : self.hp.order]
         if self.hp.intercept:
@@ -232,21 +239,21 @@ class ArModel:
             for b in range(a, q):
                 s3[:, a, b] = s3[:, b, a] = np.bincount(inverse, col * design[:, b], k)
         s1 = np.bincount(inverse, x * x, k)
-        return list(map(ArSufficientStats.from_sums, counts.tolist(), s1.tolist(), s2.tolist(), s3.tolist()))
+        return list(map(ArSufficientStats.from_sums, map(int, counts), map(float, s1), s2, s3))
 
     def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
         trie.refresh_path(context)
 
-    def log_pe(self, state: ArSufficientStats) -> float:
-        return log_pe_ar(state, self.hp)
+    def log_pe(self, states: Sequence[ArSufficientStats]) -> list[float]:
+        return log_pe_ar(states, self.hp)
 
     def map_params(self, state: Optional[ArSufficientStats]) -> tuple[np.ndarray, float]:
         """MAP coefficients and noise variance; prior mode for empty states."""
         if state is None:
             state = self.new_state()
         # The ArPosterior fields map_phi and map_sigma2, without its scale matrix.
-        _, loc, d = _posterior_core(state, self.hp)
-        return np.array(loc), (self.hp.lam + 0.5 * d) / (self.hp.tau + 0.5 * state.count + 1.0)
+        _, loc, d = _posterior_core([state], self.hp)
+        return loc[0], (self.hp.lam + 0.5 * float(d[0])) / (self.hp.tau + 0.5 * state.count + 1.0)
 
     def predict_from_state(
         self,
@@ -256,7 +263,7 @@ class ArModel:
     ) -> tuple[float, float]:
         """Plug-in one-step predictive mean and variance at the MAP parameters."""
         phi, sigma2 = self.map_params(state)
-        return dot(phi, self.hp.design(lags)), sigma2
+        return float(np.dot(phi, self.hp.design(lags))), sigma2
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
         phi, sigma2 = self.map_params(state)

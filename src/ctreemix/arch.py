@@ -229,12 +229,6 @@ def log_pe_arch_laplace(state: ArchNodeState, theta_hat: np.ndarray) -> float:
     )
 
 
-def predictive_arch(theta: np.ndarray, z: Sequence[float]) -> tuple[float, float]:
-    """Zero-mean Gaussian predictive with plug-in variance theta' z."""
-    var = float(np.dot(theta, z))
-    return 0.0, var
-
-
 class ArchModel:
     """Leaf-model adapter driving the context trie with ARCH states."""
 
@@ -251,8 +245,10 @@ class ArchModel:
     def design(self, lags: Sequence[float]) -> tuple[float, ...]:
         return (1.0,) + tuple(v * v for v in lags[: self.cfg.order])
 
-    def observe(self, state: ArchNodeState, x: float, lags: Sequence[float]) -> None:
-        state.add(x, self.design(lags))
+    def observe(self, states: Sequence[ArchNodeState], x: float, lags: Sequence[float]) -> None:
+        z = self.design(lags)
+        for state in states:
+            state.add(x, z)
 
     def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArchNodeState]:
         """One state per index 0..K-1 of inverse, holding the rows mapped to it.
@@ -293,15 +289,17 @@ class ArchModel:
                 self.fit_state(node.state, warm=True, iters=WARM_ITERS)
             trie.refresh_path(context)
 
-    def log_pe(self, state: ArchNodeState) -> float:
-        if state.log_pe_cached is None:
-            self.fit_state(state)
-        return state.log_pe_cached
+    def log_pe(self, states: Sequence[ArchNodeState]) -> list[float]:
+        """Each state's cached log marginal, refitting stale states one at a time."""
+        for state in states:
+            if state.log_pe_cached is None:
+                self.fit_state(state)
+        return [state.log_pe_cached for state in states]
 
     def map_params(self, state: Optional[ArchNodeState]) -> Optional[np.ndarray]:
         if state is None or state.count == 0:
             return None
-        self.log_pe(state)  # refits a stale state
+        self.log_pe([state])  # refits a stale state
         return state.theta
 
     def predict_from_state(
@@ -310,12 +308,13 @@ class ArchModel:
         lags: Sequence[float],
         root_state: Optional[ArchNodeState] = None,
     ) -> tuple[float, float]:
+        """Zero-mean Gaussian predictive with plug-in variance theta' z at the MAP coefficients."""
         theta = self.map_params(state)
         if theta is None:
             theta = self.map_params(root_state)  # pooled fallback
         if theta is None:
             raise RuntimeError("no fitted coefficients available for prediction")
-        return predictive_arch(theta, self.design(lags))
+        return 0.0, float(np.dot(theta, self.design(lags)))
 
     def leaf_param_doc(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState] = None) -> dict:
         """The leaf's coefficients and count; a leaf without data shows the pooled root fit with count 0."""

@@ -179,6 +179,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sample_trees(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     series, tspec = _load_series(args)
     cfg, _ = _resolve_config(args, series)
     fitted = fit_series(series, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)

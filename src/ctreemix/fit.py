@@ -126,7 +126,11 @@ def fit_series(
     lags = np.empty((n - init, model.order))
     for k in range(model.order):
         lags[:, k] = series[init - 1 - k : n - 1 - k]
-    fitted.trie.observe_all(contexts, series[init:], lags)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite evidence is raised below
+        fitted.trie.observe_all(contexts, series[init:], lags)
+        fitted.trie.full_sweep()
+    log_evidence = fitted.trie.log_evidence()
+    if not isfinite(log_evidence):
+        raise ValueError(f"log evidence is {log_evidence}: the series overflows float64 in the fit; rescale it")
     fitted._history.extend(series[max(n - fitted._history.maxlen, 0) :].tolist())
-    fitted.trie.full_sweep()
     return fitted

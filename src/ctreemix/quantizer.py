@@ -10,7 +10,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isfinite
-from typing import Sequence
 
 import numpy as np
 
@@ -46,16 +45,3 @@ class Quantizer:
     def code(self, series) -> np.ndarray:
         """Symbols of a whole series at once; elementwise equal to calling the quantizer."""
         return np.searchsorted(self.thresholds, series, side="right")
-
-
-def context_at(series: Sequence[float], i: int, q: Quantizer, depth: int) -> tuple[int, ...]:
-    """Discrete context of the sample at (0-based) position i.
-
-    Returns the quantized values of the `depth` samples preceding position
-    i, most recent first: (Q(series[i-1]), ..., Q(series[i-depth])).
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if i - depth < 0:
-        raise IndexError(f"position {i} has fewer than depth={depth} predecessors")
-    return tuple(q(series[i - 1 - d]) for d in range(depth))

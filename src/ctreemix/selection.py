@@ -110,5 +110,5 @@ def select_hyperparams(
             if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):
                 best = cell
     if best is None:
-        raise RuntimeError("every grid candidate failed numerically")
+        raise RuntimeError(f"every grid candidate failed numerically; the first: {cells[0].error}")
     return SelectionResult(best.thresholds, best.order, best.log_evidence, tuple(cells))

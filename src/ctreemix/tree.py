@@ -6,12 +6,17 @@ any object providing::
 
     order          -> int, number of raw lag values consumed per observation
     new_state()    -> fresh per-node statistics object
-    observe(state, x, lags)  -> accumulate one observation
+    observe(states, x, lags)
+                   -> accumulate one observation into each of the states,
+                      the D+1 nodes of its context path
     observe_batch(inverse, x, lags)
                    -> one new state per index 0..K-1 of inverse, holding the
                       rows i (of x and of the 2-D lags array) with
                       inverse[i] equal to it, as observe would leave it
-    log_pe(state)  -> float, log marginal likelihood of the node's data
+    log_pe(states) -> list of floats, the log marginal likelihood of each
+                      state's data; ``full_sweep`` calls it once per depth and
+                      ``refresh_path`` once per path, so a state's value must
+                      not depend on the other states in the call
     refresh(trie, path, context, step)
                    -> update the sweeps after the ``step``-th online sample
                       was observed along ``path`` (``context``'s nodes), e.g.
@@ -199,16 +204,15 @@ class ContextTrie:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
         node = self.root
         path = [node]
-        self.model.observe(node.state, x, lags)
         for sym in context:
             child = node.children[sym]
             if child is None:
                 child = _Node(self.m, self.model.new_state())
                 node.children[sym] = child
                 self.num_nodes += 1
-            self.model.observe(child.state, x, lags)
             path.append(child)
             node = child
+        self.model.observe([p.state for p in path], x, lags)
         self.num_obs += 1
         self._swept = False
         return path
@@ -256,19 +260,25 @@ class ContextTrie:
     # -- sweeps -------------------------------------------------------------
 
     def full_sweep(self) -> None:
-        """Recompute log_pe / log_pw / log_pm at every node (post-order)."""
-        self._sweep(self.root, 0)
+        """Recompute log_pe / log_pw / log_pm at every node, one depth at a time from the bottom."""
+        levels = [[self.root]]
+        while len(levels) <= self.depth:
+            level = [child for node in levels[-1] for child in node.children if child is not None]
+            if not level:
+                break
+            levels.append(level)
+        for depth in range(len(levels) - 1, -1, -1):
+            self._score(levels[depth], [depth] * len(levels[depth]))
         self._swept = True
         self._ever_swept = True
 
-    def _sweep(self, node: _Node, depth: int) -> None:
-        for child in node.children:
-            if child is not None:
-                self._sweep(child, depth + 1)
-        self._combine(node, depth)
+    def _score(self, nodes: list[_Node], depths: list[int]) -> None:
+        """Score the nodes in one leaf call, then combine them in order (children before parents)."""
+        for node, depth, log_pe in zip(nodes, depths, self.model.log_pe([node.state for node in nodes])):
+            node.log_pe = log_pe
+            self._combine(node, depth)
 
     def _combine(self, node: _Node, depth: int) -> None:
-        node.log_pe = self.model.log_pe(node.state)
         if depth == self.depth:
             node.log_pw = node.log_pe
             node.log_pm = node.log_pe
@@ -304,8 +314,7 @@ class ContextTrie:
             if node is None:
                 raise KeyError("path not present; call observe first")
             path.append(node)
-        for d in range(self.depth, -1, -1):
-            self._combine(path[d], d)
+        self._score(path[::-1], list(range(self.depth, -1, -1)))
         self._swept = True
 
     def _require_swept(self):

@@ -44,7 +44,7 @@ def brute_force_leaf_stats(series, model, quantizer: Quantizer, depth: int, tree
         context = tuple(quantizer(series[i - 1 - d]) for d in range(depth))
         leaf = tree.state_of(context)
         lags = tuple(series[i - 1 - d] for d in range(model.order))
-        model.observe(states[leaf], float(series[i]), lags)
+        model.observe([states[leaf]], float(series[i]), lags)
     return states
 
 
@@ -54,7 +54,7 @@ def brute_force_log_joint(series, model, quantizer: Quantizer, depth: int,
     states = brute_force_leaf_stats(series, model, quantizer, depth, tree)
     total = log_prior(tree, beta, depth)
     for leaf in tree.leaves:
-        total += model.log_pe(states[leaf])
+        total += model.log_pe([states[leaf]])[0]
     return total
 
 
@@ -143,7 +143,7 @@ def trie_contents(trie) -> dict:
     for context, node in trie.nodes():
         st = node.state
         if isinstance(st, ArSufficientStats):
-            out[context] = (st.count, st.s1, st.s2, st.s3)
+            out[context] = (st.count, st.s1, st.s2.tolist(), st.s3.tolist())
         else:
             out[context] = (st.xs.tolist(), st.zs.tolist())
     return out

@@ -104,7 +104,7 @@ def test_c4_leaf_marginal_quadrature():
         k = int(rng.integers(1, 5))
         pairs = [(float(rng.normal()), float(rng.normal())) for _ in range(k)]
         st = stats_from_pairs(pairs)
-        got = cm.log_pe_ar(st, hp)
+        got = cm.log_pe_ar([st], hp)[0]
         worst_2d = max(worst_2d, abs(got - quad_log_pe_2d(pairs)))
 
         def integrand(u):
@@ -276,7 +276,7 @@ def test_c10d_certain_at_10000(arch_convergence):
 def test_c11_laplace_vs_quadrature_single_parameter():
     st = simulate_arch_node(40, (0.3,), seed=500, p=0)
     model = cm.ArchModel(cm.ArchConfig(order=0, fisher_iters=100))
-    got = model.log_pe(st)
+    got = model.log_pe([st])[0]
     x2 = np.square(np.array(st.xs))
     n = st.count
 

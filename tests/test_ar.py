@@ -15,7 +15,6 @@ from ctreemix import (
     generate,
     log_pe_ar,
     posterior_ar,
-    update_stats,
     Quantizer,
     TreeModel,
 )
@@ -27,8 +26,9 @@ HP1 = ArHyperParams(order=1)
 
 def stats_from_pairs(pairs, hp=HP1):
     st = ArSufficientStats(hp.dim)
+    model = ArModel(hp)
     for x, lag in pairs:
-        update_stats(st, x, hp.design((lag,) if np.isscalar(lag) else tuple(lag)))
+        model.observe([st], x, (lag,) if np.isscalar(lag) else tuple(lag))
     return st
 
 
@@ -60,14 +60,14 @@ def quad_log_pe_2d(pairs, hp=HP1):
 class TestUpdateStats:
     def test_direct_sums(self):
         st = stats_from_pairs([(2.0, 1.0)])
-        assert st.count == 1 and st.s1 == 4.0 and st.s2 == [2.0] and st.s3 == [[1.0]]
+        assert st.count == 1 and st.s1 == 4.0 and st.s2.tolist() == [2.0] and st.s3.tolist() == [[1.0]]
 
     def test_zero_obs_only_counts(self):
         hp = ArHyperParams(order=3)
         st = ArSufficientStats(hp.dim)
-        update_stats(st, 0.0, hp.design((0.0, 0.0, 0.0)))
+        ArModel(hp).observe([st], 0.0, (0.0, 0.0, 0.0))
         assert st.count == 1 and st.s1 == 0.0
-        assert st.s2 == [0.0] * 3
+        assert st.s2.tolist() == [0.0] * 3
         assert all(v == 0.0 for row in st.s3 for v in row)
 
     def test_matches_recomputation_from_scratch(self):
@@ -75,8 +75,9 @@ class TestUpdateStats:
         hp = ArHyperParams(order=2, intercept=True)
         pairs = [(float(rng.normal()), rng.normal(size=2)) for _ in range(40)]
         st = ArSufficientStats(hp.dim)
+        model = ArModel(hp)
         for x, lag in pairs:
-            update_stats(st, x, hp.design(tuple(lag)))
+            model.observe([st], x, tuple(lag))
         xs = np.array([x for x, _ in pairs])
         designs = np.array([(1.0, *lag) for _, lag in pairs])
         assert st.count == 40
@@ -87,13 +88,13 @@ class TestUpdateStats:
 
 class TestLogPe:
     def test_empty_is_zero(self):
-        assert log_pe_ar(ArSufficientStats(1), HP1) == 0.0
+        assert log_pe_ar([ArSufficientStats(1)], HP1) == [0.0]
 
     def test_single_point_closed_form(self):
         # one observation x=0 with zero lag: value is Gamma(3/2) / sqrt(2 pi)
         st = stats_from_pairs([(0.0, 0.0)])
-        assert log_pe_ar(st, HP1) == pytest.approx(math.log(1.0 / (2.0 * math.sqrt(2.0))), rel=1e-12)
-        assert abs(log_pe_ar(st, HP1) - quad_log_pe_2d([(0.0, 0.0)])) < 1e-4
+        assert log_pe_ar([st], HP1)[0] == pytest.approx(math.log(1.0 / (2.0 * math.sqrt(2.0))), rel=1e-12)
+        assert abs(log_pe_ar([st], HP1)[0] - quad_log_pe_2d([(0.0, 0.0)])) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_2d_quadrature(self, seed):
@@ -101,7 +102,7 @@ class TestLogPe:
         k = int(rng.integers(1, 5))
         pairs = [(float(rng.normal()), float(rng.normal())) for _ in range(k)]
         st = stats_from_pairs(pairs)
-        assert abs(log_pe_ar(st, HP1) - quad_log_pe_2d(pairs)) < 1e-4
+        assert abs(log_pe_ar([st], HP1)[0] - quad_log_pe_2d(pairs)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_known_variance_mixture(self, seed):
@@ -117,7 +118,7 @@ class TestLogPe:
             return math.exp(lp + stats.invgamma.logpdf(s2, HP1.tau, scale=HP1.lam) + u)
 
         val, err = integrate.quad(integrand, -30, 30, epsabs=1e-13, epsrel=1e-10, limit=300)
-        assert abs(log_pe_ar(st, HP1) - math.log(val)) < 1e-4
+        assert abs(log_pe_ar([st], HP1)[0] - math.log(val)) < 1e-4
 
     def test_chain_rule_factorisation(self):
         # product of one-step posterior-predictive t densities telescopes to
@@ -136,8 +137,34 @@ class TestLogPe:
             mean = (b / a) * lag
             var = (scale / shape) * (1.0 + lag * lag / a)
             total += float(stats.t.logpdf(x, df, loc=mean, scale=math.sqrt(var)))
-            update_stats(st, x, (lag,))
-        assert total == pytest.approx(log_pe_ar(st, HP1), rel=1e-10)
+            ArModel(HP1).observe([st], x, (lag,))
+        assert total == pytest.approx(log_pe_ar([st], HP1)[0], rel=1e-10)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_values_do_not_depend_on_the_batch(self, order):
+        # each node scored alone, in a D+1-node path as refresh_path scores
+        # it, and in its whole depth as full_sweep scores it
+        spec = builtin_specs()["sim_2"].spec
+        hp = ArHyperParams(order=order, intercept=True)
+        fitted = fit_series(generate(spec, 2000, seed=3), ArModel(hp), spec.quantizer, 10)
+        nodes = dict(fitted.trie.nodes())
+
+        def scored(contexts):
+            return dict(zip(contexts, log_pe_ar([nodes[c].state for c in contexts], hp)))
+
+        alone, by_depth, on_path = {}, {}, {}
+        for ctx in nodes:
+            alone.update(scored([ctx]))
+        for depth in range(11):
+            by_depth.update(scored([c for c in nodes if len(c) == depth]))
+        for ctx in nodes:
+            if len(ctx) == 10:
+                on_path.update(scored([ctx[:k] for k in range(11)]))
+        assert len(nodes) > 1000 and set(on_path) == set(nodes)
+        for ctx, node in nodes.items():
+            assert alone[ctx] == by_depth[ctx] == on_path[ctx] == node.log_pe
 
 
 class TestKnownVariance:
@@ -203,8 +230,9 @@ class TestPosterior:
             x.append(phi[0] * x[-1] + phi[1] * x[-2] + rng.normal(0, math.sqrt(s2)))
         hp = ArHyperParams(order=2)
         st = ArSufficientStats(2)
+        model = ArModel(hp)
         for i in range(2, len(x)):
-            update_stats(st, x[i], (x[i - 1], x[i - 2]))
+            model.observe([st], x[i], (x[i - 1], x[i - 2]))
         post = posterior_ar(st, hp)
         assert np.abs((post.map_phi - phi) / phi).max() < 0.05
         assert abs(post.map_sigma2 - s2) / s2 < 0.05

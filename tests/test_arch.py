@@ -14,7 +14,6 @@ from ctreemix import (
     arch_score_and_info,
     fisher_scoring,
     log_pe_arch_laplace,
-    predictive_arch,
 )
 from ctreemix.arch import initial_theta, project_feasible
 
@@ -75,7 +74,7 @@ class TestLoglik:
         theta = np.array([0.25, 0.2])
         assert arch_loglik(shuffled, theta) == pytest.approx(arch_loglik(st, theta), rel=1e-12)
         model = ArchModel(ArchConfig(order=1, fisher_iters=50))
-        assert model.log_pe(shuffled) == pytest.approx(model.log_pe(st), rel=1e-9)
+        assert model.log_pe([shuffled])[0] == pytest.approx(model.log_pe([st])[0], rel=1e-9)
 
 
 class TestScoreAndInfo:
@@ -147,13 +146,13 @@ class TestFisherScoring:
 class TestLaplace:
     def test_empty_node_is_zero(self):
         model = ArchModel(ArchConfig(order=2))
-        assert model.log_pe(ArchNodeState()) == 0.0
+        assert model.log_pe([ArchNodeState()])[0] == 0.0
 
     def test_variance_only_matches_closed_form(self):
         # with no lag terms the marginal is an inverse-gamma integral
         st = simulate_arch_node(40, (0.3,), seed=10, p=0)
         model = ArchModel(ArchConfig(order=0, fisher_iters=100))
-        got = model.log_pe(st)
+        got = model.log_pe([st])[0]
         s = float(np.sum(np.square(st.xs)))
         n = st.count
         exact = -0.5 * n * math.log(2 * math.pi) + math.lgamma(n / 2) - (n / 2) * math.log(s / 2)
@@ -162,19 +161,19 @@ class TestLaplace:
     def test_underpopulated_node_flagged(self):
         st = simulate_arch_node(2, (0.3, 0.2, 0.1), seed=11)
         model = ArchModel(ArchConfig(order=2, fisher_iters=10))
-        value = model.log_pe(st)
+        value = model.log_pe([st])[0]
         assert math.isfinite(value)
         assert st.flagged
 
     def test_flag_clears_once_node_has_data(self):
         st = simulate_arch_node(2, (0.3, 0.2, 0.1), seed=11)
         model = ArchModel(ArchConfig(order=2, fisher_iters=10))
-        model.log_pe(st)
+        model.log_pe([st])
         assert st.flagged
         extra = simulate_arch_node(200, (0.3, 0.2, 0.1), seed=12)
         for k in range(extra.count):
             st.add(extra.xs[k], extra.zs[k])
-        model.log_pe(st)
+        model.log_pe([st])
         assert st.count == 202 and not st.flagged
 
     def test_warm_refit_tracks_cold_refit(self):
@@ -192,15 +191,23 @@ class TestLaplace:
                 assert np.abs(warm - st.theta).max() < 1e-3
 
 
+def state_fitted_at(theta):
+    """A one-row state whose cached fit is theta, so predictions use theta as given."""
+    st = ArchNodeState(np.zeros(1), np.ones((1, len(theta))))
+    st.theta, st.log_pe_cached = np.asarray(theta, dtype=float), 0.0
+    return st
+
+
 class TestPredictive:
     def test_dot_product_variance(self):
-        mean, var = predictive_arch(np.array([0.1, 0.2]), (1.0, 4.0))
+        model = ArchModel(ArchConfig(order=1))
+        mean, var = model.predict_from_state(state_fitted_at([0.1, 0.2]), (2.0,))  # z = (1, 4)
         assert mean == 0.0 and var == pytest.approx(0.9)
 
     def test_constant_variance_leaf_matches_gaussian_nll(self):
-        theta = np.array([0.37])
+        model = ArchModel(ArchConfig(order=0))
         y = 0.8
-        _, var = predictive_arch(theta, (1.0,))
+        _, var = model.predict_from_state(state_fitted_at([0.37]), ())
         log_density = -0.5 * (math.log(2 * math.pi) + math.log(var)) - y * y / (2 * var)
         assert log_density == pytest.approx(float(stats.norm.logpdf(y, 0.0, math.sqrt(0.37))), rel=1e-12)
 

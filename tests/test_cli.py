@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ctreemix import io as sio
@@ -212,11 +213,25 @@ def test_usage_errors(tmp_path, capsys):
     (["fit", "--alphabet", "3", "--auto-thresholds", "--threshold-candidates=-0.5,0.5;0"], "[0.0] needs exactly 2"),
     (["fit", "--model", "arch", "--intercept", "--thresholds", "0", "--order", "2"], "ar leaves only"),
     (["fit", "--model", "ar", "--fisher-iters", "3", "--thresholds", "0", "--order", "2"], "arch leaves only"),
-], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters"])
+    (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "-3"], "--count must be at least 1"),
+    (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "0"], "--count must be at least 1"),
+], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "evidence-grid"])
+def test_overflowing_series_fails_with_one_error_line(tmp_path, capsys, command):
+    data = tmp_path / "huge.csv"
+    sio.write_series_csv(np.random.default_rng(0).normal(size=300) * 1e200, str(data))
+    out = tmp_path / "out"
+    assert run([command, str(data), "--thresholds", "0", "--order", "2", "--depth", "3", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows float64" in err
+    assert not out.exists()
 
 
 def test_spec_file_simulation(tmp_path):

@@ -105,6 +105,14 @@ def test_update_rejects_non_finite_without_changing_state(bad):
     assert fitted.log_evidence() == cold.log_evidence()
 
 
+@pytest.mark.parametrize("model", [small_ar_model(2), ArchModel(ArchConfig(order=2))], ids=["ar", "arch"])
+def test_fit_rejects_overflowing_series(model):
+    # finite input whose squares overflow float64 would give a NaN evidence
+    series = np.random.default_rng(0).normal(size=300) * 1e200
+    with pytest.raises(ValueError, match="overflows float64"):
+        fit_series(series, model, Quantizer((0.0,)), 3)
+
+
 def test_fit_rejects_non_finite_with_same_error():
     series = generate(SIM_1, 100, seed=6)
     series[50] = math.nan

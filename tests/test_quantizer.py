@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctreemix import Quantizer, context_at
+from ctreemix import ArHyperParams, ArModel, Quantizer, fit_series
 
 
 def test_below_sole_threshold():
@@ -51,26 +51,33 @@ def test_invalid_thresholds():
         Quantizer((float("nan"),))
 
 
+def fit_prefix(series, q, depth):
+    """A model fitted on the series, whose current_context() is that of the next sample."""
+    return fit_series(series, ArModel(ArHyperParams(order=1)), q, depth, 0.5)
+
+
 def test_context_most_recent_first():
     q = Quantizer((0.0,))
-    series = [-1.0, 2.0, 5.0]
-    assert context_at(series, 2, q, 2) == (1, 0)
+    assert fit_prefix([-1.0, 2.0], q, 2).current_context() == (1, 0)
 
 
 def test_context_depth_zero():
-    assert context_at([1.0], 1, Quantizer((0.0,)), 0) == ()
+    assert fit_prefix([1.0], Quantizer((0.0,)), 0).current_context() == ()
 
 
 def test_context_out_of_range():
-    with pytest.raises(IndexError):
-        context_at([1.0, 2.0], 1, Quantizer((0.0,)), 2)
+    with pytest.raises(ValueError, match="shorter than the initial segment"):
+        fit_prefix([1.0], Quantizer((0.0,)), 2)
 
 
 def test_context_sliding_window():
     q = Quantizer((0.25,))
     rng = np.random.default_rng(1)
     series = rng.normal(size=50)
+    fitted = fit_prefix(series[:6], q, 5)
     for i in range(6, 48):
-        prev = context_at(series, i, q, 5)
-        cur = context_at(series, i + 1, q, 5)
+        prev = fitted.current_context()
+        assert prev == tuple(q.code(series[i - 5 : i][::-1]))
+        fitted.update(series[i])
+        cur = fitted.current_context()
         assert cur == (q(series[i]),) + prev[:-1]

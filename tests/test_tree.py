@@ -202,8 +202,8 @@ class TestSequentialUpdates:
             other = nodes_inc[ctx]
             assert other.state.count == node.state.count
             assert other.state.s1 == node.state.s1
-            assert other.state.s2 == node.state.s2
-            assert other.state.s3 == node.state.s3
+            assert np.array_equal(other.state.s2, node.state.s2)
+            assert np.array_equal(other.state.s3, node.state.s3)
             assert other.log_pe == node.log_pe
             assert other.log_pw == node.log_pw
             assert other.log_pm == node.log_pm
