@@ -1,19 +1,18 @@
 """Conjugate Gaussian AR leaf model.
 
 Each state carries an AR(p) model x_i = phi' xt_{i-1} + e_i with
-e_i ~ N(0, sigma2), an inverse-gamma prior on sigma2 and a conditional
-Gaussian prior N(mu0, sigma2 * Sigma0) on the coefficients.  The marginal
-likelihood of a node's data is then available in closed form from the
-running sums
+e_i ~ N(0, sigma2), an inverse-gamma prior IG(tau, lam) on sigma2 and a
+conditional Gaussian prior N(0, sigma2 I) on the coefficients.  The
+marginal likelihood of a node's data is then available in closed form from
+the running sums
 
     s1 = sum x_i^2,   s2 = sum x_i xt_{i-1},   s3 = sum xt_{i-1} xt_{i-1}',
 
 as
 
     P_e = C^{-1} Gamma(tau + n/2) lam^tau / (Gamma(tau) (lam + d/2)^{tau + n/2}),
-    C   = sqrt((2 pi)^n det(I + Sigma0 s3)),
-    d   = s1 + mu0' Sigma0^{-1} mu0 - b' (s3 + Sigma0^{-1})^{-1} b,
-    b   = s2 + Sigma0^{-1} mu0,
+    C   = sqrt((2 pi)^n det(I + s3)),
+    d   = s1 - s2' (s3 + I)^{-1} s2,
 
 with n the node count.  When an intercept is requested the design vector
 xt is prepended with a constant 1 and every dimension below is p + 1.
@@ -22,6 +21,7 @@ xt is prepended with a constant 1 and every dimension below is p + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lgamma, log
 from typing import Optional, Sequence
 
@@ -35,39 +35,20 @@ class ArHyperParams:
     """Prior constants for the conjugate AR leaf model.
 
     tau, lam are the inverse-gamma shape/scale of the noise-variance prior;
-    mu0 and sigma0 are the coefficient prior location and scale (dimension
-    order + 1 when intercept is set).  Defaults: mu0 = 0, sigma0 = I,
-    tau = lam = 1.
+    the coefficients have the prior N(0, sigma2 I) (dimension order + 1 when
+    intercept is set).  Defaults: tau = lam = 1.
     """
 
     order: int
     intercept: bool = False
     tau: float = 1.0
     lam: float = 1.0
-    mu0: Optional[np.ndarray] = None
-    sigma0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("AR order must be >= 1")
         if self.tau <= 0 or self.lam <= 0:
             raise ValueError("tau and lam must be positive")
-        q = self.dim
-        mu0 = np.zeros(q) if self.mu0 is None else np.asarray(self.mu0, dtype=float)
-        sigma0 = np.eye(q) if self.sigma0 is None else np.asarray(self.sigma0, dtype=float)
-        if mu0.shape != (q,):
-            raise ValueError(f"mu0 must have length {q}")
-        if sigma0.shape != (q, q) or not np.allclose(sigma0, sigma0.T):
-            raise ValueError(f"sigma0 must be a symmetric {q}x{q} matrix")
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "sigma0", sigma0)
-        low0 = np.linalg.cholesky(sigma0)  # raises if not PD
-        prec0 = np.linalg.inv(sigma0)
-        prec0 = 0.5 * (prec0 + prec0.T)
-        object.__setattr__(self, "_prec0", prec0)
-        object.__setattr__(self, "_prec0_mu0", prec0 @ mu0)
-        object.__setattr__(self, "_mu0_prec0_mu0", float(mu0 @ prec0 @ mu0))
-        object.__setattr__(self, "_logdet_sigma0", float(2.0 * np.log(np.diag(low0)).sum()))
 
     @property
     def dim(self) -> int:
@@ -107,21 +88,26 @@ class ArSufficientStats:
         return out
 
 
-def _posterior_core(states: Sequence[ArSufficientStats], hp: ArHyperParams):
-    """The stack a = s3 + prec0, the solutions loc of a loc = s2 + prec0 mu0, and d; one row per state.
+@cache
+def _identity(q: int) -> np.ndarray:
+    """The q x q identity, the coefficient prior's precision; built once per dimension (read only)."""
+    return np.eye(q)
+
+
+def _posterior_core(states: Sequence[ArSufficientStats]):
+    """The stack a = s3 + I, the solutions loc of a loc = s2, and d = s1 - s2' loc; one row per state.
 
     LAPACK solves each matrix of a stack on its own and every other step is
     elementwise, so a state's row does not depend on the other states.
     """
     a = np.array([st.s3 for st in states])
-    a += hp._prec0
+    a += _identity(a.shape[1])
     b = np.array([st.s2 for st in states])
-    b += hp._prec0_mu0
     loc = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     b_loc = b[:, 0] * loc[:, 0]
     for i in range(1, b.shape[1]):  # column by column: the same summation order for any batch
         b_loc += b[:, i] * loc[:, i]
-    d = np.array([st.s1 for st in states]) + hp._mu0_prec0_mu0 - b_loc
+    d = np.array([st.s1 for st in states]) - b_loc
     return a, loc, np.maximum(d, 0.0)  # roundoff guard; d is a residual quadratic form
 
 
@@ -130,10 +116,10 @@ def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[fl
 
     One call scores a whole batch with one stacked Cholesky factorisation
     and one stacked solve; each value is bit-identical to scoring its state
-    alone.  Raises np.linalg.LinAlgError if a matrix s3 + prec0 is not
+    alone.  Raises np.linalg.LinAlgError if a matrix s3 + I is not
     numerically positive definite.
     """
-    a, _, d = _posterior_core(states, hp)
+    a, _, d = _posterior_core(states)
     diag = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).tolist()
     tau, lam = hp.tau, hp.lam
     prior = tau * log(lam) - lgamma(tau)
@@ -143,7 +129,7 @@ def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[fl
         if n == 0:
             out.append(0.0)
             continue
-        logdet = hp._logdet_sigma0 + 2.0 * sum(map(log, low_diag))  # log det(I + Sigma0 s3)
+        logdet = 2.0 * sum(map(log, low_diag))  # log det(I + s3)
         out.append(
             -0.5 * (n * LOG_2PI + logdet)
             + lgamma(tau + 0.5 * n)
@@ -155,11 +141,9 @@ def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[fl
 
 @dataclass(frozen=True)
 class ArPosterior:
-    """Posterior of one leaf: t-distributed coefficients, inverse-gamma variance."""
+    """Posterior of one leaf: coefficients N(mean, sigma2 (s3 + I)^{-1}), variance IG(ig_shape, ig_scale)."""
 
-    mean: np.ndarray       # location of the coefficient posterior (also its MAP)
-    scale: np.ndarray      # scale matrix of the t distribution
-    df: float              # degrees of freedom, 2 tau + n
+    mean: np.ndarray       # location of the coefficient posterior (also its MAP), (s3 + I)^{-1} s2
     ig_shape: float        # tau + n/2
     ig_scale: float        # lam + d/2
 
@@ -175,19 +159,8 @@ class ArPosterior:
 
 def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     """Exact coefficient/variance posterior for one node."""
-    n = stats.count
-    a, loc, d = _posterior_core([stats], hp)
-    inv_a = np.linalg.inv(a[0])
-    inv_a = 0.5 * (inv_a + inv_a.T)
-    d = float(d[0])
-    df = 2.0 * hp.tau + n
-    return ArPosterior(
-        mean=loc[0],
-        scale=((2.0 * hp.lam + d) / df) * inv_a,
-        df=df,
-        ig_shape=hp.tau + 0.5 * n,
-        ig_scale=hp.lam + 0.5 * d,
-    )
+    _, loc, d = _posterior_core([stats])
+    return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * float(d[0]))
 
 
 class ArModel:
@@ -241,19 +214,11 @@ class ArModel:
         s1 = np.bincount(inverse, x * x, k)
         return list(map(ArSufficientStats.from_sums, map(int, counts), map(float, s1), s2, s3))
 
-    def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
-        trie.refresh_path(context)
+    def refresh(self, trie, path, step: int) -> None:
+        trie.refresh_path(path)
 
     def log_pe(self, states: Sequence[ArSufficientStats]) -> list[float]:
         return log_pe_ar(states, self.hp)
-
-    def map_params(self, state: Optional[ArSufficientStats]) -> tuple[np.ndarray, float]:
-        """MAP coefficients and noise variance; prior mode for empty states."""
-        if state is None:
-            state = self.new_state()
-        # The ArPosterior fields map_phi and map_sigma2, without its scale matrix.
-        _, loc, d = _posterior_core([state], self.hp)
-        return loc[0], (self.hp.lam + 0.5 * float(d[0])) / (self.hp.tau + 0.5 * state.count + 1.0)
 
     def predict_from_state(
         self,
@@ -261,14 +226,14 @@ class ArModel:
         lags: Sequence[float],
         root_state: Optional[ArSufficientStats] = None,
     ) -> tuple[float, float]:
-        """Plug-in one-step predictive mean and variance at the MAP parameters."""
-        phi, sigma2 = self.map_params(state)
-        return float(np.dot(phi, self.hp.design(lags))), sigma2
+        """Plug-in one-step predictive mean and variance at the MAP parameters; prior mode for empty states."""
+        post = posterior_ar(self.new_state() if state is None else state, self.hp)
+        return float(np.dot(post.map_phi, self.hp.design(lags))), post.map_sigma2
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
-        phi, sigma2 = self.map_params(state)
+        post = posterior_ar(self.new_state() if state is None else state, self.hp)
         return {
-            "phi": [float(v) for v in phi],
-            "sigma2": float(sigma2),
+            "phi": [float(v) for v in post.map_phi],
+            "sigma2": float(post.map_sigma2),
             "count": 0 if state is None else state.count,
         }

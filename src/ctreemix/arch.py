@@ -278,7 +278,7 @@ class ArchModel:
         state.theta = fisher_scoring(state, init, iters)
         state.log_pe_cached = log_pe_arch_laplace(state, state.theta)
 
-    def refresh(self, trie, path, context: tuple[int, ...], step: int) -> None:
+    def refresh(self, trie, path, step: int) -> None:
         """Warm-refit the path's nodes and refresh the path; every FULL_REFRESH_EVERY-th step, refit all nodes cold."""
         if step % FULL_REFRESH_EVERY == 0:
             for _, node in trie.nodes():
@@ -287,7 +287,7 @@ class ArchModel:
         else:
             for node in path:
                 self.fit_state(node.state, warm=True, iters=WARM_ITERS)
-            trie.refresh_path(context)
+            trie.refresh_path(path)
 
     def log_pe(self, states: Sequence[ArchNodeState]) -> list[float]:
         """Each state's cached log marginal, refitting stale states one at a time."""

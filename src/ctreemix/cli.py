@@ -56,6 +56,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _grid(args, train) -> SelectionGrid:
     """Candidate thresholds and orders from the flags (the percentile grid unless given)."""
+    if args.thresholds is not None and args.threshold_candidates is not None:
+        raise ValueError("--thresholds and --threshold-candidates are mutually exclusive")
     if args.thresholds is not None:
         candidates = (_floats(args.thresholds),)
     elif args.threshold_candidates:
@@ -146,7 +148,7 @@ def cmd_forecast(args) -> int:
             raise ValueError(f"{', '.join(given)} cannot be combined with --from-model, "
                              "which takes the model from its document")
         with open(args.from_model) as fh:
-            cfg = RunConfig.from_document(sio.parse_document(fh.read()))
+            cfg = RunConfig.from_document(json.loads(fh.read()))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
     report = rolling_forecast(series, cfg, train_len=train_len)

@@ -53,11 +53,10 @@ class FittedModel:
         x = float(x)
         if not isfinite(x):
             raise ValueError("series contains non-finite values")
-        context = self.current_context()
-        path = self.trie.observe(x, context, self.current_lags())
+        path = self.trie.observe(x, self.current_context(), self.current_lags())
         self._history.append(x)
         self._steps_since_fit += 1
-        self.model.refresh(self.trie, path, context, self._steps_since_fit)
+        self.model.refresh(self.trie, path, self._steps_since_fit)
 
     # -- queries --------------------------------------------------------------
 

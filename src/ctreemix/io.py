@@ -114,20 +114,6 @@ def tree_to_doc(tree: TreeModel, leaf_params: dict[tuple[int, ...], dict]) -> di
     return rec(())
 
 
-def tree_from_doc(doc: dict, m: int) -> TreeModel:
-    leaves: list[tuple[int, ...]] = []
-
-    def rec(node: dict):
-        if "children" in node:
-            for child in node["children"]:
-                rec(child)
-        else:
-            leaves.append(tuple(node["context"]))
-
-    rec(doc)
-    return TreeModel(m, tuple(leaves))
-
-
 def model_document(
     fitted,
     config: RunConfig,
@@ -159,10 +145,6 @@ def model_document(
 def dumps_canonical(doc: dict) -> str:
     """Canonical JSON text: sorted keys, stable float repr, trailing newline."""
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def parse_document(text: str) -> dict:
-    return json.loads(text)
 
 
 def report_to_doc(report: EvalReport, *, seed: Optional[int] = None,

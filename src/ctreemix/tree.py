@@ -17,10 +17,10 @@ any object providing::
                       state's data; ``full_sweep`` calls it once per depth and
                       ``refresh_path`` once per path, so a state's value must
                       not depend on the other states in the call
-    refresh(trie, path, context, step)
+    refresh(trie, path, step)
                    -> update the sweeps after the ``step``-th online sample
-                      was observed along ``path`` (``context``'s nodes), e.g.
-                      by ``trie.refresh_path(context)``
+                      was observed along ``path`` (the root-first node list
+                      ``observe`` returned), e.g. by ``trie.refresh_path(path)``
 
 Three quantities are maintained per node, all in natural-log domain:
 
@@ -299,21 +299,14 @@ class ContextTrie:
         node.leaf_wins = split >= second  # tie -> prune, prefer the smaller tree
         node.log_pm = split if node.leaf_wins else second
 
-    def refresh_path(self, context: tuple[int, ...]) -> None:
-        """Recompute the D+1 nodes on one context path, bottom-up.
+    def refresh_path(self, path: list[_Node]) -> None:
+        """Recompute the D+1 nodes of one path, as ``observe`` returned it (root first), bottom-up.
 
         Identical to a full sweep when only that path's statistics changed.
         Requires an initial full sweep so off-path quantities are current.
         """
         if not self._ever_swept:
             raise RuntimeError("refresh_path needs an initial full_sweep()")
-        path = [self.root]
-        node = self.root
-        for sym in context:
-            node = node.children[sym]
-            if node is None:
-                raise KeyError("path not present; call observe first")
-            path.append(node)
         self._score(path[::-1], list(range(self.depth, -1, -1)))
         self._swept = True
 

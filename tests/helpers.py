@@ -103,6 +103,21 @@ def log_pe_ar_known_variance(
     return -0.5 * (n * (LOG_2PI + log(sigma2)) + logdet) - e / (2.0 * sigma2)
 
 
+def tree_from_doc(doc: dict, m: int) -> TreeModel:
+    """The tree a nested tree document describes: the contexts of its nodes without children."""
+    leaves: list[tuple[int, ...]] = []
+
+    def rec(node: dict):
+        if "children" in node:
+            for child in node["children"]:
+                rec(child)
+        else:
+            leaves.append(tuple(node["context"]))
+
+    rec(doc)
+    return TreeModel(m, tuple(leaves))
+
+
 def random_mixture_series(seed: int, n: int = 30) -> np.ndarray:
     """A small dataset from a randomly parameterised two-regime AR generator."""
     rng = np.random.default_rng(seed)

@@ -109,7 +109,7 @@ def test_c4_leaf_marginal_quadrature():
 
         def integrand(u):
             s2 = math.exp(u)
-            lp = log_pe_ar_known_variance(st, s2, hp.mu0, s2 * hp.sigma0)
+            lp = log_pe_ar_known_variance(st, s2, np.zeros(1), s2 * np.eye(1))
             return math.exp(lp + stats.invgamma.logpdf(s2, hp.tau, scale=hp.lam) + u)
 
         val, _ = integrate.quad(integrand, -30, 30, epsabs=1e-13, epsrel=1e-10, limit=300)

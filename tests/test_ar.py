@@ -18,6 +18,7 @@ from ctreemix import (
     Quantizer,
     TreeModel,
 )
+from ctreemix.forecasting import RunConfig
 
 from helpers import log_pe_ar_known_variance
 
@@ -45,7 +46,7 @@ def quad_log_pe_2d(pairs, hp=HP1):
         phi = t * sd
         ll = sum(stats.norm.logpdf(x, phi * lag, sd) for x, lag in pairs)
         prior = (
-            stats.norm.logpdf(phi, hp.mu0[0], sd * math.sqrt(hp.sigma0[0, 0]))
+            stats.norm.logpdf(phi, 0.0, sd)  # the coefficient prior N(0, s2)
             + stats.invgamma.logpdf(s2, hp.tau, scale=hp.lam)
             + u  # Jacobian of s2 = exp(u)
             + math.log(sd)  # Jacobian of phi = t * sd
@@ -114,7 +115,7 @@ class TestLogPe:
 
         def integrand(u):
             s2 = math.exp(u)
-            lp = log_pe_ar_known_variance(st, s2, HP1.mu0, s2 * HP1.sigma0)
+            lp = log_pe_ar_known_variance(st, s2, np.zeros(1), s2 * np.eye(1))
             return math.exp(lp + stats.invgamma.logpdf(s2, HP1.tau, scale=HP1.lam) + u)
 
         val, err = integrate.quad(integrand, -30, 30, epsabs=1e-13, epsrel=1e-10, limit=300)
@@ -198,9 +199,8 @@ class TestPosterior:
     def test_empty_recovers_prior(self):
         hp = ArHyperParams(order=2, tau=1.5, lam=0.8)
         post = posterior_ar(ArSufficientStats(hp.dim), hp)
-        assert np.allclose(post.mean, hp.mu0)
+        assert np.allclose(post.mean, np.zeros(2))
         assert post.ig_shape == 1.5 and post.ig_scale == 0.8
-        assert post.df == 3.0
         assert post.map_sigma2 == pytest.approx(0.8 / 2.5)
 
     def test_map_variance_formula(self):
@@ -261,5 +261,9 @@ class TestPredictive:
             ArHyperParams(order=0)
         with pytest.raises(ValueError):
             ArHyperParams(order=1, tau=-1.0)
-        with pytest.raises(ValueError):
-            ArHyperParams(order=1, mu0=np.zeros(3))
+
+    def test_hyperparams_are_values(self):
+        hp = ArHyperParams(order=2)
+        assert hp == ArHyperParams(order=2)
+        assert hash(hp) == hash(ArHyperParams(order=2))
+        assert RunConfig(kind="ar", thresholds=(0.0,), order=2).make_model().hp == hp

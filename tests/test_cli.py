@@ -215,7 +215,10 @@ def test_usage_errors(tmp_path, capsys):
     (["fit", "--model", "ar", "--fisher-iters", "3", "--thresholds", "0", "--order", "2"], "arch leaves only"),
     (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "-3"], "--count must be at least 1"),
     (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "0"], "--count must be at least 1"),
-], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero"])
+    (["evidence-grid", "--thresholds", "0", "--threshold-candidates=0.5;1"],
+     "--thresholds and --threshold-candidates are mutually exclusive"),
+], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero",
+        "thresholds-and-candidates"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1
