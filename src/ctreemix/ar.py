@@ -65,16 +65,20 @@ class ArSufficientStats:
     """A node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
 
     The arrays may be row views of arrays shared by the nodes of one depth;
-    a node only ever adds to its own rows.
+    a node only ever adds to its own rows.  ``loc`` and ``resid`` hold the
+    posterior location (s3 + I)^{-1} s2 and the residual d that
+    ``log_pe_ar`` solved when it last scored the state, or None when the
+    sums changed since (``ArModel.observe`` clears them).
     """
 
-    __slots__ = ("count", "s1", "s2", "s3")
+    __slots__ = ("count", "s1", "s2", "s3", "loc", "resid")
 
     def __init__(self, dim: int):
         self.count = 0
         self.s1 = 0.0
         self.s2 = np.zeros(dim)
         self.s3 = np.zeros((dim, dim))
+        self.loc = self.resid = None
 
     @property
     def dim(self) -> int:
@@ -85,6 +89,7 @@ class ArSufficientStats:
         """Statistics holding the given sums (the arrays are kept, not copied)."""
         out = cls.__new__(cls)
         out.count, out.s1, out.s2, out.s3 = count, s1, s2, s3
+        out.loc = out.resid = None
         return out
 
 
@@ -98,12 +103,14 @@ def _posterior_core(states: Sequence[ArSufficientStats]):
     """The stack a = s3 + I, the solutions loc of a loc = s2, and d = s1 - s2' loc; one row per state.
 
     LAPACK solves each matrix of a stack on its own and every other step is
-    elementwise, so a state's row does not depend on the other states.
+    elementwise, so a state's row does not depend on the other states.  loc
+    is read only: states keep its rows.
     """
     a = np.array([st.s3 for st in states])
     a += _identity(a.shape[1])
     b = np.array([st.s2 for st in states])
     loc = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    loc.flags.writeable = False
     b_loc = b[:, 0] * loc[:, 0]
     for i in range(1, b.shape[1]):  # column by column: the same summation order for any batch
         b_loc += b[:, i] * loc[:, i]
@@ -116,15 +123,17 @@ def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[fl
 
     One call scores a whole batch with one stacked Cholesky factorisation
     and one stacked solve; each value is bit-identical to scoring its state
-    alone.  Raises np.linalg.LinAlgError if a matrix s3 + I is not
-    numerically positive definite.
+    alone.  Each state keeps its posterior location and residual for
+    ``posterior_ar``.  Raises np.linalg.LinAlgError if a matrix s3 + I is
+    not numerically positive definite.
     """
-    a, _, d = _posterior_core(states)
+    a, loc, d = _posterior_core(states)
     diag = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).tolist()
     tau, lam = hp.tau, hp.lam
     prior = tau * log(lam) - lgamma(tau)
     out = []
-    for st, low_diag, d_k in zip(states, diag, d.tolist()):
+    for st, low_diag, loc_k, d_k in zip(states, diag, loc, d.tolist()):
+        st.loc, st.resid = loc_k, d_k
         n = st.count
         if n == 0:
             out.append(0.0)
@@ -158,9 +167,16 @@ class ArPosterior:
 
 
 def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
-    """Exact coefficient/variance posterior for one node."""
-    _, loc, d = _posterior_core([stats])
-    return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * float(d[0]))
+    """Exact coefficient/variance posterior for one node.
+
+    Reads the location and residual its last scoring kept; solves only a
+    state not scored since its sums last changed.
+    """
+    loc, resid = stats.loc, stats.resid
+    if loc is None:
+        _, locs, d = _posterior_core([stats])
+        loc, resid = locs[0], float(d[0])
+    return ArPosterior(mean=loc, ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * resid)
 
 
 class ArModel:
@@ -180,7 +196,8 @@ class ArModel:
         """Add one sample to each state, in place.
 
         The terms are the float64 products observe_batch sums, so adding
-        them continues its in-order sums bit for bit.
+        them continues its in-order sums bit for bit.  Clears each state's
+        kept posterior.
         """
         design = np.array(self.hp.design(lags))
         xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
@@ -189,6 +206,7 @@ class ArModel:
             st.s1 += xx
             st.s2 += xd
             st.s3 += dd
+            st.loc = st.resid = None
 
     def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArSufficientStats]:
         """One state per index 0..K-1 of inverse, holding the sums of the rows mapped to it.

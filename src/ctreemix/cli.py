@@ -60,7 +60,7 @@ def _grid(args, train) -> SelectionGrid:
         raise ValueError("--thresholds and --threshold-candidates are mutually exclusive")
     if args.thresholds is not None:
         candidates = (_floats(args.thresholds),)
-    elif args.threshold_candidates:
+    elif args.threshold_candidates is not None:
         candidates = tuple(_floats(group) for group in args.threshold_candidates.split(";") if group.strip())
     else:
         candidates = None

@@ -33,14 +33,14 @@ class FittedModel:
         self.beta = beta
         self.trie = ContextTrie(model, m, depth, beta)
         self.init_len = max(depth, model.order)
-        self._history: deque[float] = deque(maxlen=max(self.init_len, 1))
+        self._history: deque[float] = deque(maxlen=model.order)  # the lags of the next sample
+        self._symbols: deque[int] = deque(maxlen=depth)  # its context, each sample quantized once
         self._steps_since_fit = 0
 
     # -- state derived from the rolling history ------------------------------
 
     def current_context(self) -> tuple[int, ...]:
-        h = self._history
-        return tuple(self.quantizer(h[-1 - d]) for d in range(self.depth))
+        return tuple(reversed(self._symbols))
 
     def current_lags(self) -> tuple[float, ...]:
         h = self._history
@@ -55,6 +55,7 @@ class FittedModel:
             raise ValueError("series contains non-finite values")
         path = self.trie.observe(x, self.current_context(), self.current_lags())
         self._history.append(x)
+        self._symbols.append(self.quantizer(x))
         self._steps_since_fit += 1
         self.model.refresh(self.trie, path, self._steps_since_fit)
 
@@ -131,5 +132,6 @@ def fit_series(
     log_evidence = fitted.trie.log_evidence()
     if not isfinite(log_evidence):
         raise ValueError(f"log evidence is {log_evidence}: the series overflows float64 in the fit; rescale it")
-    fitted._history.extend(series[max(n - fitted._history.maxlen, 0) :].tolist())
+    fitted._history.extend(series[n - model.order :].tolist())
+    fitted._symbols.extend(symbols[n - depth :].tolist())
     return fitted

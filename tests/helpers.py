@@ -147,7 +147,8 @@ def per_sample_fit(series, model, quantizer: Quantizer, depth: int, beta=None) -
         context = tuple(quantizer(series[i - 1 - d]) for d in range(depth))
         lags = tuple(series[i - 1 - k] for k in range(model.order))
         fitted.trie.observe(series[i], context, lags)
-    fitted._history.extend(series[-fitted._history.maxlen:])
+    fitted._history.extend(series[len(series) - model.order:])
+    fitted._symbols.extend(quantizer(v) for v in series[len(series) - depth:])
     fitted.trie.full_sweep()
     return fitted
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ctreemix import ar
 from ctreemix import (
     ArHyperParams,
     ArModel,
@@ -166,6 +167,64 @@ class TestBatchKernel:
         assert len(nodes) > 1000 and set(on_path) == set(nodes)
         for ctx, node in nodes.items():
             assert alone[ctx] == by_depth[ctx] == on_path[ctx] == node.log_pe
+
+    @staticmethod
+    def assert_kept_posteriors_exact(fitted, hp):
+        # every node keeps the location and residual of a copy of its sums scored alone
+        for _, node in fitted.trie.nodes():
+            st = node.state
+            copy = ArSufficientStats.from_sums(st.count, st.s1, st.s2.copy(), st.s3.copy())
+            log_pe_ar([copy], hp)
+            assert st.loc is not None and st.loc.tobytes() == copy.loc.tobytes()
+            assert type(st.resid) is float and st.resid == copy.resid
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_scoring_keeps_each_posterior(self, intercept):
+        spec = builtin_specs()["sim_1"].spec
+        hp = ArHyperParams(order=2, intercept=intercept)
+        series = generate(spec, 1200, seed=5)
+        fitted = fit_series(series[:1000], ArModel(hp), spec.quantizer, 10)
+        self.assert_kept_posteriors_exact(fitted, hp)
+        for x in series[1000:]:
+            fitted.update(x)
+        self.assert_kept_posteriors_exact(fitted, hp)
+
+    def test_observe_clears_the_kept_posterior(self):
+        hp = ArHyperParams(order=2)
+        st = ArSufficientStats(hp.dim)
+        assert st.loc is None and st.resid is None
+        ArModel(hp).observe([st], 0.5, (1.0, -1.0))
+        log_pe_ar([st], hp)
+        assert st.loc is not None and st.resid is not None
+        ArModel(hp).observe([st], 0.2, (0.5, 1.0))
+        assert st.loc is None and st.resid is None
+        # the posterior of the changed sums is solved afresh
+        post = posterior_ar(st, hp)
+        log_pe_ar([st], hp)
+        assert post.mean.tolist() == st.loc.tolist() and post.ig_scale == hp.lam + 0.5 * st.resid
+
+    def test_never_scored_state_is_solved(self):
+        hp = ArHyperParams(order=3, intercept=True, tau=2.0, lam=0.5)
+        post = posterior_ar(ArModel(hp).new_state(), hp)
+        assert post.mean.tolist() == [0.0] * 4  # the prior mode
+        assert post.ig_shape == 2.0 and post.ig_scale == 0.5
+
+    def test_prediction_does_not_solve_again(self, monkeypatch):
+        spec = builtin_specs()["sim_1"].spec
+        series = generate(spec, 1100, seed=2)
+        fitted = fit_series(series[:1000], ArModel(ArHyperParams(order=2)), spec.quantizer, 10)
+        calls = []
+        solve = ar._posterior_core
+        monkeypatch.setattr(ar, "_posterior_core", lambda states: calls.append(len(states)) or solve(states))
+        prediction_solves = unseen_contexts = 0
+        for x in series[1000:]:
+            unseen_contexts += fitted.trie.map_node(fitted.current_context()) is None
+            before = len(calls)
+            fitted.predict_next()
+            prediction_solves += len(calls) - before
+            fitted.update(x)
+        assert len(calls) >= 100  # every update's refresh went through the counter
+        assert prediction_solves <= unseen_contexts
 
 
 class TestKnownVariance:

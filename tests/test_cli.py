@@ -1,10 +1,15 @@
 """End-to-end command-line checks driven through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctreemix
 from ctreemix import io as sio
 from ctreemix.cli import main
 
@@ -217,8 +222,9 @@ def test_usage_errors(tmp_path, capsys):
     (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "0"], "--count must be at least 1"),
     (["evidence-grid", "--thresholds", "0", "--threshold-candidates=0.5;1"],
      "--thresholds and --threshold-candidates are mutually exclusive"),
+    (["evidence-grid", "--threshold-candidates="], "candidate sets must be nonempty"),
 ], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero",
-        "thresholds-and-candidates"])
+        "thresholds-and-candidates", "empty-candidates"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1
@@ -253,3 +259,12 @@ def test_spec_file_simulation(tmp_path):
     assert run(["simulate", "--spec", str(spec_path), "--n", "50", "--seed", "4", "-o", str(out)]) == 0
     values = sio.ingest_csv(str(out))
     assert len(values) == 51  # includes one initial-context sample
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(ctreemix.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-m", "ctreemix", "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "evidence-grid" in proc.stdout

@@ -33,6 +33,7 @@ def assert_same_fit(columnar, reference):
     assert columnar.num_scored == reference.num_scored
     assert trie_contents(columnar.trie) == trie_contents(reference.trie)
     assert list(columnar._history) == list(reference._history)
+    assert list(columnar._symbols) == list(reference._symbols)
     assert columnar.log_evidence() == reference.log_evidence()
     assert columnar.map_tree() == reference.map_tree()
 

@@ -81,3 +81,12 @@ def test_context_sliding_window():
         fitted.update(series[i])
         cur = fitted.current_context()
         assert cur == (q(series[i]),) + prev[:-1]
+    # the quantized reversed history after the fit and through updates, for
+    # depth 0, depth below the order and depth above it
+    for depth, order in ((0, 2), (2, 4), (6, 1)):
+        fitted = fit_series(series[:20], ArModel(ArHyperParams(order=order)), q, depth, 0.5)
+        for i in range(20, 50):
+            context = fitted.current_context()
+            assert context == tuple(q(series[i - 1 - d]) for d in range(depth))
+            assert all(type(sym) is int for sym in context)
+            fitted.update(series[i])
