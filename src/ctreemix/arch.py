@@ -14,6 +14,14 @@ with I_hat the expected information.  Unlike the AR case, the scoring
 iterations need repeated passes over a node's data, so each state retains
 its rows as arrays: the observations xs, shape (n,), and the design rows
 z_{i-1} as zs, shape (n, p+1).
+
+A stack of states is fitted in lockstep by one kernel (``_Stack``): the
+elementwise work runs once over the concatenated rows of the stack, the
+small linear algebra runs as stacked LAPACK calls, and each reduction over
+a node's rows stays one numpy call on that node's rows alone.  A node's
+fit is therefore bit-identical whether it is fitted alone, in its context
+path or with its whole depth, which keeps online updates aligned with cold
+refits.  The public single-state functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -74,45 +82,21 @@ class ArchNodeState:
         return len(self.xs)
 
     def add(self, x: float, z: Sequence[float]) -> None:
-        row = np.array([z], dtype=float)
+        """Append one observation x with design row z; a float array z is kept, not copied."""
+        row = np.asarray(z, dtype=float).reshape(1, -1)
         self.zs = np.vstack((self.zs, row)) if self.count else row
         self.xs = np.append(self.xs, x)
         self.log_pe_cached = None
 
 
 def project_feasible(theta: np.ndarray) -> np.ndarray:
-    """Clamp into the prior support: alpha_0 >= floor, alpha_j in [0, 1]."""
-    out = np.clip(theta, 0.0, 1.0)
-    out[0] = max(theta[0], ALPHA0_FLOOR)
-    return out
+    """Clamp into the prior support: alpha_0 >= floor, alpha_j in [0, 1].
 
-
-def arch_loglik(state: ArchNodeState, theta: np.ndarray) -> float:
-    """Gaussian log likelihood of the node's data under coefficient vector theta."""
-    n = state.count
-    if n == 0:
-        return 0.0
-    sigma2 = state.zs @ theta
-    if np.any(sigma2 <= 0.0):
-        raise ValueError("theta yields non-positive conditional variance")
-    return -0.5 * n * LOG_2PI - 0.5 * float(np.sum(np.log(sigma2) + state.xs * state.xs / sigma2))
-
-
-def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score vector and expected information at theta.
-
-    score = 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}
-    info  = 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'
+    theta is one coefficient vector or a stack of them, one per row.
     """
-    z = state.zs
-    sigma2 = z @ theta
-    if np.any(sigma2 <= 0.0):
-        raise ValueError("theta yields non-positive conditional variance")
-    w = (state.xs * state.xs / sigma2 - 1.0) / sigma2
-    score = 0.5 * (z.T @ w)
-    zw = z / sigma2[:, None]
-    info = 0.5 * (zw.T @ zw)
-    return score, info
+    out = np.clip(theta, 0.0, 1.0)
+    out[..., 0] = np.maximum(theta[..., 0], ALPHA0_FLOOR)
+    return out
 
 
 def _solve_damped(info: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -123,6 +107,160 @@ def _solve_damped(info: np.ndarray, vec: np.ndarray) -> np.ndarray:
         return np.linalg.solve(info + damp * np.eye(info.shape[0]), vec)
 
 
+def _held_coords(theta: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Mask, per state and coordinate, of the bounds of the prior box whose score points out of it."""
+    held = (theta <= 0.0) & (score <= 0.0) | (theta >= 1.0) & (score >= 0.0)
+    held[:, 0] = (theta[:, 0] <= ALPHA0_FLOOR) & (score[:, 0] <= 0.0)
+    return held
+
+
+def _gauss_cdf(x: float) -> float:
+    return 0.5 * (1.0 + erf(x / sqrt(2.0)))
+
+
+class _Stack:
+    """The rows of K non-empty states of one design width q, fitted in lockstep.
+
+    Elementwise work runs once over the concatenated rows.  Each reduction
+    over a node's rows (z_k theta_k, z_k' w_k, zw_k' zw_k and the sum of the
+    log-likelihood terms) stays one numpy call on node k's rows: a batched
+    reduction (einsum, reduceat) sums in another order, and nodes that do
+    not converge amplify the last-bit differences into visible ones.
+    """
+
+    def __init__(self, states: Sequence[ArchNodeState]):
+        self.states = states
+        ends = np.cumsum([state.count for state in states]).tolist()
+        self.spans = list(zip([0] + ends[:-1], ends))
+        self.z = np.concatenate([state.zs for state in states])
+        xs = np.concatenate([state.xs for state in states])
+        self.xx = xs * xs
+
+    def sigma2(self, theta: np.ndarray) -> np.ndarray:
+        """The conditional variance of every row, under its state's row of theta (K, q)."""
+        sigma2 = np.concatenate([state.zs @ t for state, t in zip(self.states, theta)])
+        if np.any(sigma2 <= 0.0):
+            raise ValueError("theta yields non-positive conditional variance")
+        return sigma2
+
+    def info(self, sigma2: np.ndarray) -> np.ndarray:
+        """Expected information per state, (K, q, q): 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'."""
+        zw = self.z / sigma2[:, None]
+        return 0.5 * np.array([zw[a:b].T @ zw[a:b] for a, b in self.spans])
+
+    def score_and_info(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Score per state, (K, q): 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}; and the information."""
+        sigma2 = self.sigma2(theta)
+        w = (self.xx / sigma2 - 1.0) / sigma2
+        score = 0.5 * np.array([state.zs.T @ w[a:b] for state, (a, b) in zip(self.states, self.spans)])
+        return score, self.info(sigma2)
+
+    def loglik(self, sigma2: np.ndarray) -> list[float]:
+        """Gaussian log likelihood of each state's rows at the given conditional variances."""
+        terms = np.log(sigma2) + self.xx / sigma2
+        return [-0.5 * (b - a) * LOG_2PI - 0.5 * float(np.sum(terms[a:b])) for a, b in self.spans]
+
+    def scoring(self, theta: np.ndarray, iters: int) -> np.ndarray:
+        """Run `iters` projected scoring updates of every state from a feasible theta (K, q).
+
+        A coordinate on a bound of the prior box whose score points out of
+        the box is held there: its score is zeroed and its row and column of
+        the information become those of the identity, so the step
+        info^{-1} score solves the free coordinates' own system.  (Solving
+        the full system lets the held coordinates bend the step of the free
+        ones, and the iterate stops short of the maximum.)  Each step is then
+        projected into the box.  The stack is solved in one call; if any
+        information matrix is singular, each state falls back to its own
+        damped solve.  A state whose free-coordinate score norm, which
+        vanishes at the constrained maximum, did not decrease over the last
+        three iterations is flagged as non-converged (diagnostic only).
+        """
+        norms = []  # per state, at the 4th-last and the last iteration
+        for it in range(iters):
+            score, info = self.score_and_info(theta)
+            held = _held_coords(theta, score)
+            if held.any():
+                score[held] = 0.0
+                info[held[:, :, None] | held[:, None, :]] = 0.0
+                k, j = np.nonzero(held)
+                info[k, j, j] = 1.0
+            try:
+                step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                step = np.array([_solve_damped(a, s) for a, s in zip(info, score)])
+            theta = project_feasible(theta + step)
+            if iters >= 4 and iters - it in (4, 1):
+                norms.append([float(np.linalg.norm(s)) for s in score])
+        for k, state in enumerate(self.states):
+            state.nonconverged = (
+                iters >= 4
+                and norms[1][k] >= norms[0][k]
+                and norms[1][k] > 1e-5 * max(1, state.count)
+            )
+            if state.nonconverged:
+                logger.debug("fisher scoring not converging: n=%d grad=%.3g", state.count, norms[1][k])
+        return theta
+
+    def laplace(self, theta_hat: np.ndarray) -> list[float]:
+        """Laplace approximation of each state's log marginal likelihood at its row of theta_hat.
+
+        Uses the standard form with the inverse determinant of the expected
+        information; the prior contributes -log(alpha_0) (uniform coordinates
+        contribute nothing on their support).  Because the maximiser
+        frequently sits on the edge of the prior support (lag coefficients
+        clamp at 0), the Gaussian mass falling outside the feasible box is
+        removed via per-coordinate truncation factors; at interior optima
+        these factors are 1 and the plain formula is recovered.  Each call
+        sets every state's ``flagged`` afresh: a state is flagged if it has
+        fewer than p + 2 observations or a singular information matrix,
+        which is then damped.
+        """
+        q = theta_hat.shape[1]
+        sigma2 = self.sigma2(theta_hat)
+        info = self.info(sigma2)
+        sign, logdet = np.linalg.slogdet(info)
+        singular = ((sign <= 0) | ~np.isfinite(logdet)).tolist()
+        for k in np.flatnonzero(singular).tolist():
+            damp = _DAMP * max(1.0, float(np.trace(info[k])) / q)
+            info[k] = info[k] + damp * np.eye(q)
+            _, logdet[k] = np.linalg.slogdet(info[k])
+        # Mass of the Laplace Gaussian inside the support box, coordinatewise.
+        se = np.sqrt(np.maximum(np.diagonal(np.linalg.inv(info), axis1=1, axis2=2), 0.0)).tolist()
+        values = []
+        for k, (state, loglik) in enumerate(zip(self.states, self.loglik(sigma2))):
+            state.flagged = state.count < q + 1 or singular[k]
+            th, s = theta_hat[k].tolist(), se[k]
+            log_box = 0.0
+            for j in range(q):
+                if s[j] <= 0.0:
+                    continue
+                hi = 1.0 if (j > 0 and th[j] + 40.0 * s[j] > 1.0) else None
+                lo = 0.0
+                upper = 1.0 if hi is None else _gauss_cdf((hi - th[j]) / s[j])
+                mass = upper - _gauss_cdf((lo - th[j]) / s[j])
+                log_box += log(max(mass, 1e-12))
+            values.append(0.5 * q * LOG_2PI - 0.5 * logdet[k] + loglik - log(th[0]) + log_box)
+        return values
+
+
+def arch_loglik(state: ArchNodeState, theta: np.ndarray) -> float:
+    """Gaussian log likelihood of the node's data under coefficient vector theta."""
+    if state.count == 0:
+        return 0.0
+    stack = _Stack([state])
+    return stack.loglik(stack.sigma2(np.asarray(theta, dtype=float)[None]))[0]
+
+
+def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score vector and expected information at theta.
+
+    score = 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}
+    info  = 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'
+    """
+    score, info = _Stack([state]).score_and_info(np.asarray(theta, dtype=float)[None])
+    return score[0], info[0]
+
+
 def initial_theta(state: ArchNodeState, order: int) -> np.ndarray:
     """Feasible scale-aware starting point: sample variance level, small lags."""
     theta = np.full(order + 1, 0.05)
@@ -130,103 +268,23 @@ def initial_theta(state: ArchNodeState, order: int) -> np.ndarray:
     return theta
 
 
-def _held_coords(theta: list[float], score: list[float]) -> list[int]:
-    """Coordinates on a bound of the prior box whose score points out of it."""
-    held = [0] if theta[0] <= ALPHA0_FLOOR and score[0] <= 0.0 else []
-    for j in range(1, len(theta)):
-        if (theta[j] <= 0.0 and score[j] <= 0.0) or (theta[j] >= 1.0 and score[j] >= 0.0):
-            held.append(j)
-    return held
-
-
 def fisher_scoring(
     state: ArchNodeState,
     init: np.ndarray,
     iters: int,
 ) -> np.ndarray:
-    """Run `iters` projected scoring updates towards the box-constrained MLE.
-
-    A coordinate on a bound of the prior box whose score points out of the
-    box is held there: its score is zeroed and its row and column of the
-    information become those of the identity, so the step info^{-1} score
-    solves the free coordinates' own system.  (Solving the full system lets
-    the held coordinates bend the step of the free ones, and the iterate
-    stops short of the maximum.)  Each step is then projected into the box;
-    singular information matrices fall back to a damped solve.  If the score
-    norm on the free coordinates, which vanishes at the constrained maximum,
-    stops decreasing over the last three iterations, the state is flagged as
-    non-converged (diagnostic only).
-    """
+    """Run `iters` projected scoring updates towards the box-constrained MLE (see ``_Stack.scoring``)."""
     theta = project_feasible(np.asarray(init, dtype=float).copy())
     if state.count == 0 or iters == 0:
         return theta
-    grad_norms: list[float] = []
-    for _ in range(iters):
-        score, info = arch_score_and_info(state, theta)
-        for j in _held_coords(theta.tolist(), score.tolist()):
-            score[j] = 0.0
-            info[j, :] = 0.0
-            info[:, j] = 0.0
-            info[j, j] = 1.0
-        theta = project_feasible(theta + _solve_damped(info, score))
-        grad_norms.append(float(np.linalg.norm(score)))
-    state.nonconverged = (
-        len(grad_norms) >= 4
-        and grad_norms[-1] >= grad_norms[-4]
-        and grad_norms[-1] > 1e-5 * max(1, state.count)
-    )
-    if state.nonconverged:
-        logger.debug("fisher scoring not converging: n=%d grad=%.3g", state.count, grad_norms[-1])
-    return theta
-
-
-def _gauss_cdf(x: float) -> float:
-    return 0.5 * (1.0 + erf(x / sqrt(2.0)))
+    return _Stack([state]).scoring(theta[None], iters)[0]
 
 
 def log_pe_arch_laplace(state: ArchNodeState, theta_hat: np.ndarray) -> float:
-    """Laplace approximation of the node's log marginal likelihood at theta_hat.
-
-    Uses the standard form with the inverse determinant of the expected
-    information; the prior contributes -log(alpha_0) (uniform coordinates
-    contribute nothing on their support).  Because the maximiser frequently
-    sits on the edge of the prior support (lag coefficients clamp at 0),
-    the Gaussian mass falling outside the feasible box is removed via
-    per-coordinate truncation factors; at interior optima these factors are
-    1 and the plain formula is recovered.  Each call sets ``state.flagged``
-    afresh: a node is flagged if it has fewer than p + 2 observations or a
-    singular information matrix, which is then damped.
-    """
-    n = state.count
-    if n == 0:
+    """Laplace approximation of the node's log marginal likelihood at theta_hat (see ``_Stack.laplace``)."""
+    if state.count == 0:
         return 0.0
-    q = theta_hat.shape[0]
-    _, info = arch_score_and_info(state, theta_hat)
-    state.flagged = n < q + 1
-    sign, logdet = np.linalg.slogdet(info)
-    if sign <= 0 or not np.isfinite(logdet):
-        state.flagged = True
-        damp = _DAMP * max(1.0, float(np.trace(info)) / q)
-        info = info + damp * np.eye(q)
-        sign, logdet = np.linalg.slogdet(info)
-    # Mass of the Laplace Gaussian inside the support box, coordinatewise.
-    se = np.sqrt(np.maximum(np.diag(np.linalg.inv(info)), 0.0))
-    log_box = 0.0
-    for j in range(q):
-        if se[j] <= 0.0:
-            continue
-        hi = 1.0 if (j > 0 and theta_hat[j] + 40.0 * se[j] > 1.0) else None
-        lo = 0.0
-        upper = 1.0 if hi is None else _gauss_cdf((hi - theta_hat[j]) / se[j])
-        mass = upper - _gauss_cdf((lo - theta_hat[j]) / se[j])
-        log_box += log(max(mass, 1e-12))
-    return (
-        0.5 * q * LOG_2PI
-        - 0.5 * logdet
-        + arch_loglik(state, theta_hat)
-        - log(theta_hat[0])
-        + log_box
-    )
+    return _Stack([state]).laplace(np.asarray(theta_hat, dtype=float)[None])[0]
 
 
 class ArchModel:
@@ -246,7 +304,7 @@ class ArchModel:
         return (1.0,) + tuple(v * v for v in lags[: self.cfg.order])
 
     def observe(self, states: Sequence[ArchNodeState], x: float, lags: Sequence[float]) -> None:
-        z = self.design(lags)
+        z = np.array(self.design(lags))  # one row array, shared by the path's states
         for state in states:
             state.add(x, z)
 
@@ -263,20 +321,37 @@ class ArchModel:
         ends = np.cumsum(np.bincount(inverse)).tolist()
         return [ArchNodeState(xs[a:b], z[a:b]) for a, b in zip([0] + ends, ends)]
 
-    def fit_state(self, state: ArchNodeState, warm: bool = False, iters: Optional[int] = None) -> None:
-        """(Re)fit the node MLE and cache its approximate log marginal."""
-        if state.count == 0:
-            state.theta = None
-            state.log_pe_cached = 0.0
-            return
+    def fit_states(self, states: Sequence[ArchNodeState], warm: bool = False, iters: Optional[int] = None) -> None:
+        """(Re)fit every state's MLE and cache its approximate log marginal, the non-empty ones in one stack.
+
+        A warm fit starts from a state's last fit where it has one; a cold
+        fit, or a state never fitted, starts from ``initial_theta``.
+        """
         if iters is None:
             iters = self.cfg.fisher_iters
-        if warm and state.theta is not None:
-            init = state.theta
-        else:
-            init = initial_theta(state, self.cfg.order)
-        state.theta = fisher_scoring(state, init, iters)
-        state.log_pe_cached = log_pe_arch_laplace(state, state.theta)
+        stack = []
+        for state in states:
+            if state.count:
+                stack.append(state)
+            else:
+                state.theta = None
+                state.log_pe_cached = 0.0
+        if not stack:
+            return
+        init = np.array([
+            state.theta if warm and state.theta is not None else initial_theta(state, self.cfg.order)
+            for state in stack
+        ])
+        rows = _Stack(stack)
+        theta = project_feasible(init)
+        if iters:
+            theta = rows.scoring(theta, iters)
+        for state, t, value in zip(stack, theta, rows.laplace(theta)):
+            state.theta, state.log_pe_cached = t, value
+
+    def fit_state(self, state: ArchNodeState, warm: bool = False, iters: Optional[int] = None) -> None:
+        """(Re)fit one node's MLE and cache its approximate log marginal."""
+        self.fit_states([state], warm, iters)
 
     def refresh(self, trie, path, step: int) -> None:
         """Warm-refit the path's nodes and refresh the path; every FULL_REFRESH_EVERY-th step, refit all nodes cold."""
@@ -285,15 +360,12 @@ class ArchModel:
                 node.state.log_pe_cached = None
             trie.full_sweep()
         else:
-            for node in path:
-                self.fit_state(node.state, warm=True, iters=WARM_ITERS)
+            self.fit_states([node.state for node in path], warm=True, iters=WARM_ITERS)
             trie.refresh_path(path)
 
     def log_pe(self, states: Sequence[ArchNodeState]) -> list[float]:
-        """Each state's cached log marginal, refitting stale states one at a time."""
-        for state in states:
-            if state.log_pe_cached is None:
-                self.fit_state(state)
+        """Each state's cached log marginal, refitting the stale states cold in one stack."""
+        self.fit_states([state for state in states if state.log_pe_cached is None])
         return [state.log_pe_cached for state in states]
 
     def map_params(self, state: Optional[ArchNodeState]) -> Optional[np.ndarray]:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import replace
+from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -210,13 +212,15 @@ def cmd_evidence_grid(args) -> int:
     grid = _grid(args, series)
     cfg = _config(args, grid)
     result = select_hyperparams(series, grid, cfg.make_model, cfg.depth, cfg.beta)
-    lines = ["thresholds,order,log_evidence,neg_log2_evidence"]
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["thresholds", "order", "log_evidence", "neg_log2_evidence", "error"])
     log2 = float(np.log(2.0))
     for cell in result.table:
         thr = ";".join(repr(v) for v in cell.thresholds)
         nl2 = "" if cell.log_evidence == float("-inf") else repr(float(-cell.log_evidence / log2))
-        lines.append(f"{thr},{cell.order},{float(cell.log_evidence)!r},{nl2}")
-    _emit("\n".join(lines) + "\n", args.output)
+        writer.writerow([thr, cell.order, repr(float(cell.log_evidence)), nl2, cell.error or ""])
+    _emit(text.getvalue(), args.output)
     sys.stderr.write(
         f"selected thresholds={list(result.thresholds)} order={result.order} "
         f"log_evidence={result.log_evidence:.6g}\n"

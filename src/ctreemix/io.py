@@ -136,7 +136,8 @@ def model_document(
     }
     if selection_table is not None:
         doc["selection"] = [
-            {"thresholds": list(c.thresholds), "order": c.order, "log_evidence": c.log_evidence}
+            {"thresholds": list(c.thresholds), "order": c.order, "error": c.error,
+             "log_evidence": None if c.error is not None else c.log_evidence}  # a failed cell's -inf is not JSON
             for c in selection_table
         ]
     return doc

@@ -15,7 +15,12 @@ from ctreemix import (
     fisher_scoring,
     log_pe_arch_laplace,
 )
-from ctreemix.arch import initial_theta, project_feasible
+from ctreemix import arch
+from ctreemix.arch import ALPHA0_FLOOR, initial_theta, project_feasible
+
+from helpers import (
+    ScalarArchModel, scalar_fisher_scoring, scalar_log_pe_arch_laplace, scalar_loglik, scalar_score_and_info,
+)
 
 
 def simulate_arch_node(n, alpha, seed, p=None):
@@ -225,3 +230,84 @@ class TestPredictive:
         assert pooled["count"] == 300 and pooled["alpha"] is not None
         for empty in (None, ArchNodeState()):
             assert model.leaf_param_doc(empty, root) == {"alpha": pooled["alpha"], "count": 0}
+
+
+def rows_state(alpha, seed, n=100):
+    """A node whose lag terms are drawn directly, z = (1, u, v) with u, v ~ U(0, 3), and x ~ N(0, alpha' z)."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.uniform(0.0, 3.0, size=(2, n))
+    z = np.column_stack([np.ones(n), u, v])
+    return ArchNodeState(rng.normal(size=n) * np.sqrt(z @ np.asarray(alpha, dtype=float)), z)
+
+
+def kernel_states():
+    """Order-2 states, one per branch of the fitting kernel, keyed by the branch."""
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.2, 2.0, size=40)
+    return {
+        "interior": simulate_arch_node(200, (0.12, 0.25, 0.18), seed=1),
+        "lag-held-at-0": rows_state((0.3, 0.4, 0.0), seed=2),
+        "lag-held-at-1": rows_state((0.05, 2.0, 0.1), seed=3),
+        "alpha0-at-floor": rows_state((0.0, 0.8, 0.4), seed=3),
+        "empty": ArchNodeState(),
+        # two equal lag columns: a singular information matrix
+        "singular": ArchNodeState(rng.normal(size=40) * np.sqrt(0.1 + 0.6 * u), np.column_stack([np.ones(40), u, u])),
+        "underpopulated": simulate_arch_node(2, (0.3, 0.2, 0.1), seed=11),
+        "nonconverged": simulate_arch_node(30, (0.2, 0.5, 0.3), seed=8),
+    }
+
+
+def fit_fields(states):
+    return {
+        key: (None if st.theta is None else st.theta.tolist(), st.log_pe_cached, st.flagged, st.nonconverged)
+        for key, st in states.items()
+    }
+
+
+class TestBatchKernel:
+    CFG = ArchConfig(order=2, fisher_iters=10)
+
+    def test_cases_reach_their_branches(self, monkeypatch):
+        fallbacks = []
+        solve_damped = arch._solve_damped
+        monkeypatch.setattr(arch, "_solve_damped", lambda a, b: fallbacks.append(1) or solve_damped(a, b))
+        states = kernel_states()
+        for key, st in states.items():
+            fallbacks.clear()
+            ArchModel(self.CFG).fit_state(st)
+            assert bool(fallbacks) == (key in ("singular", "underpopulated")), key
+        assert states["lag-held-at-0"].theta[2] == 0.0
+        assert states["lag-held-at-1"].theta[1] == 1.0
+        assert states["alpha0-at-floor"].theta[0] == ALPHA0_FLOOR
+        assert states["empty"].theta is None and states["empty"].log_pe_cached == 0.0
+        assert states["singular"].flagged and states["underpopulated"].flagged
+        assert [key for key, st in states.items() if st.nonconverged] == ["nonconverged"]
+
+    @pytest.mark.parametrize("iters", [0, 2, 10])
+    def test_alone_in_a_batch_and_scalar_oracle_agree(self, iters):
+        alone, batch, oracle = kernel_states(), kernel_states(), kernel_states()
+        model = ArchModel(ArchConfig(order=2, fisher_iters=iters))
+        for st in alone.values():
+            model.fit_state(st)
+        model.fit_states(list(batch.values())[::-1])
+        ScalarArchModel(model.cfg).fit_states(list(oracle.values()))
+        assert fit_fields(alone) == fit_fields(batch) == fit_fields(oracle)
+        # a warm refit continues from each state's own fit
+        for st in alone.values():
+            model.fit_state(st, warm=True, iters=2)
+        model.fit_states(list(batch.values()), warm=True, iters=2)
+        ScalarArchModel(model.cfg).fit_states(list(oracle.values()), warm=True, iters=2)
+        assert fit_fields(alone) == fit_fields(batch) == fit_fields(oracle)
+
+    @pytest.mark.parametrize("key", [k for k in kernel_states() if k != "empty"])
+    def test_single_state_functions_match_scalar_oracle(self, key):
+        st, ref = kernel_states()[key], kernel_states()[key]
+        init = initial_theta(st, 2)
+        theta = fisher_scoring(st, init, 10)
+        assert theta.tolist() == scalar_fisher_scoring(ref, init, 10).tolist()
+        assert st.nonconverged == ref.nonconverged
+        assert log_pe_arch_laplace(st, theta) == scalar_log_pe_arch_laplace(ref, theta)
+        assert st.flagged == ref.flagged
+        assert arch_loglik(st, theta) == scalar_loglik(ref, theta)
+        for got, want in zip(arch_score_and_info(st, theta), scalar_score_and_info(ref, theta)):
+            assert got.tolist() == want.tolist()

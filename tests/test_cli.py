@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through main()."""
 
+import csv
 import json
 import os
 import subprocess
@@ -176,8 +177,27 @@ def test_evidence_grid_finds_truth(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "thresholds=[0.0] order=2" in err
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "thresholds,order,log_evidence,neg_log2_evidence"
+    assert lines[0] == "thresholds,order,log_evidence,neg_log2_evidence,error"
     assert len(lines) == 1 + 25
+
+
+def test_failed_grid_cell_reports_its_error(tmp_path):
+    # 12 samples: orders up to 12 fit, order 13 needs a longer initial segment than the series
+    data = tmp_path / "short.csv"
+    sio.write_series_csv(np.random.default_rng(0).normal(size=12), str(data))
+    flags = ["--thresholds", "0", "--depth", "2", "--max-order", "13"]
+    grid, model = tmp_path / "grid.csv", tmp_path / "model.json"
+    assert run(["evidence-grid", str(data), *flags, "-o", str(grid)]) == 0
+    with open(grid, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["order"] for row in rows] == [str(k) for k in range(1, 14)]
+    assert [row["error"] for row in rows[:-1]] == [""] * 12
+    assert rows[-1]["log_evidence"] == "-inf" and "shorter than the initial segment" in rows[-1]["error"]
+    assert run(["fit", str(data), *flags, "-o", str(model)]) == 0
+    selection = json.loads(model.read_text())["selection"]
+    assert [cell["error"] for cell in selection[:-1]] == [None] * 12
+    assert all(isinstance(cell["log_evidence"], float) for cell in selection[:-1])
+    assert selection[-1]["log_evidence"] is None and "shorter than the initial segment" in selection[-1]["error"]
 
 
 def test_sample_trees_frequencies(tmp_path):

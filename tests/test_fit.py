@@ -7,7 +7,7 @@ import pytest
 
 from ctreemix import ArchConfig, ArchModel, Quantizer, builtin_specs, fit_series, generate
 
-from helpers import per_sample_fit, small_ar_model, trie_contents
+from helpers import ScalarArchModel, per_sample_fit, small_ar_model, trie_contents
 
 SIM_1 = builtin_specs()["sim_1"].spec
 SIM_2 = builtin_specs()["sim_2"].spec
@@ -85,6 +85,26 @@ def test_arch_updates_after_columnar_fit_hold_the_refit_rows():
     reference = per_sample_fit(series, ArchModel(ArchConfig(order=3)), q, 4)
     assert fitted.trie.num_nodes == reference.trie.num_nodes
     assert trie_contents(fitted.trie) == trie_contents(reference.trie)
+
+
+def test_arch_online_run_matches_scalar_oracle():
+    # 120 steps: warm refits of each path, and cold refits of every node at steps 50 and 100;
+    # ternary contexts and order 5 leave some nodes flagged and some non-converged along the way
+    series = generate(ARCH_SIM, 300, seed=1)[:300]
+    q = Quantizer((-0.3, 0.3))
+    runs = []
+    for model in (ArchModel(ArchConfig(order=5)), ScalarArchModel(ArchConfig(order=5))):
+        fitted = fit_series(series[:180], model, q, 3)
+        steps = []
+        for v in series[180:]:
+            prediction = fitted.predict_next()
+            fitted.update(float(v))
+            flags = {context: (node.state.flagged, node.state.nonconverged) for context, node in fitted.trie.nodes()}
+            steps.append((prediction, fitted.log_evidence(), flags))
+        runs.append(steps)
+    assert runs[0] == runs[1]
+    assert any(f[0] for _, _, flags in runs[0] for f in flags.values())
+    assert any(f[1] for _, _, flags in runs[0] for f in flags.values())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
