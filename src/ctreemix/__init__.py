@@ -23,8 +23,6 @@ from .arch import (
     ArchNodeState,
     arch_loglik,
     arch_score_and_info,
-    fisher_scoring,
-    log_pe_arch_laplace,
 )
 from .fit import FittedModel, fit_series
 from .forecasting import EvalReport, ForecastRecord, RunConfig, rolling_forecast
@@ -40,7 +38,7 @@ __all__ = [
     "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
     "log_pe_ar", "posterior_ar",
     "ArchConfig", "ArchModel", "ArchNodeState",
-    "arch_loglik", "arch_score_and_info", "fisher_scoring", "log_pe_arch_laplace",
+    "arch_loglik", "arch_score_and_info",
     "FittedModel", "fit_series",
     "EvalReport", "ForecastRecord", "RunConfig", "rolling_forecast",
     "TransformSpec", "apply_transform", "ingest_csv", "model_document",

@@ -157,10 +157,6 @@ class ArPosterior:
     ig_scale: float        # lam + d/2
 
     @property
-    def map_phi(self) -> np.ndarray:
-        return self.mean
-
-    @property
     def map_sigma2(self) -> float:
         # mode of Inv-Gamma(ig_shape, ig_scale) = ig_scale / (ig_shape + 1)
         return self.ig_scale / (self.ig_shape + 1.0)
@@ -246,12 +242,12 @@ class ArModel:
     ) -> tuple[float, float]:
         """Plug-in one-step predictive mean and variance at the MAP parameters; prior mode for empty states."""
         post = posterior_ar(self.new_state() if state is None else state, self.hp)
-        return float(np.dot(post.map_phi, self.hp.design(lags))), post.map_sigma2
+        return float(np.dot(post.mean, self.hp.design(lags))), post.map_sigma2
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
         post = posterior_ar(self.new_state() if state is None else state, self.hp)
         return {
-            "phi": [float(v) for v in post.map_phi],
+            "phi": [float(v) for v in post.mean],
             "sigma2": float(post.map_sigma2),
             "count": 0 if state is None else state.count,
         }

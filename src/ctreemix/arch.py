@@ -21,7 +21,9 @@ small linear algebra runs as stacked LAPACK calls, and each reduction over
 a node's rows stays one numpy call on that node's rows alone.  A node's
 fit is therefore bit-identical whether it is fitted alone, in its context
 path or with its whole depth, which keeps online updates aligned with cold
-refits.  The public single-state functions are stacks of one.
+refits.  ``ArchModel.fit_states`` (and ``fit_state``, a stack of one) is
+the one way to fit; ``arch_loglik`` and ``arch_score_and_info`` evaluate
+one state at any theta.
 """
 
 from __future__ import annotations
@@ -99,12 +101,17 @@ def project_feasible(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _damped(info: np.ndarray) -> np.ndarray:
+    """A singular information matrix plus the identity scaled by _DAMP and its mean diagonal (at least 1)."""
+    q = info.shape[0]
+    return info + _DAMP * max(1.0, float(np.trace(info)) / q) * np.eye(q)
+
+
 def _solve_damped(info: np.ndarray, vec: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(info, vec)
     except np.linalg.LinAlgError:
-        damp = _DAMP * max(1.0, float(np.trace(info)) / info.shape[0])
-        return np.linalg.solve(info + damp * np.eye(info.shape[0]), vec)
+        return np.linalg.solve(_damped(info), vec)
 
 
 def _held_coords(theta: np.ndarray, score: np.ndarray) -> np.ndarray:
@@ -221,8 +228,7 @@ class _Stack:
         sign, logdet = np.linalg.slogdet(info)
         singular = ((sign <= 0) | ~np.isfinite(logdet)).tolist()
         for k in np.flatnonzero(singular).tolist():
-            damp = _DAMP * max(1.0, float(np.trace(info[k])) / q)
-            info[k] = info[k] + damp * np.eye(q)
+            info[k] = _damped(info[k])
             _, logdet[k] = np.linalg.slogdet(info[k])
         # Mass of the Laplace Gaussian inside the support box, coordinatewise.
         se = np.sqrt(np.maximum(np.diagonal(np.linalg.inv(info), axis1=1, axis2=2), 0.0)).tolist()
@@ -266,25 +272,6 @@ def initial_theta(state: ArchNodeState, order: int) -> np.ndarray:
     theta = np.full(order + 1, 0.05)
     theta[0] = max(float(np.var(state.xs)) if state.count else 1.0, ALPHA0_FLOOR)
     return theta
-
-
-def fisher_scoring(
-    state: ArchNodeState,
-    init: np.ndarray,
-    iters: int,
-) -> np.ndarray:
-    """Run `iters` projected scoring updates towards the box-constrained MLE (see ``_Stack.scoring``)."""
-    theta = project_feasible(np.asarray(init, dtype=float).copy())
-    if state.count == 0 or iters == 0:
-        return theta
-    return _Stack([state]).scoring(theta[None], iters)[0]
-
-
-def log_pe_arch_laplace(state: ArchNodeState, theta_hat: np.ndarray) -> float:
-    """Laplace approximation of the node's log marginal likelihood at theta_hat (see ``_Stack.laplace``)."""
-    if state.count == 0:
-        return 0.0
-    return _Stack([state]).laplace(np.asarray(theta_hat, dtype=float)[None])[0]
 
 
 class ArchModel:

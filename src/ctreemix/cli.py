@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from dataclasses import replace
 from io import StringIO
 from typing import Optional
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import io as sio
 from .fit import fit_series
-from .forecasting import RunConfig, rolling_forecast
+from .forecasting import _NUMBER, RunConfig, _doc_field, rolling_forecast
 from .quantizer import Quantizer
 from .selection import SelectionGrid, candidate_grid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
@@ -116,16 +117,19 @@ def _load_series(args):
 
 
 def _train_len(args, n: int) -> int:
-    from .forecasting import resolve_train_len
-
-    frac = None
-    absolute = None
-    if args.split is not None:
-        if args.split < 1.0:
-            frac = args.split
-        else:
-            absolute = int(args.split)
-    return resolve_train_len(n, frac, absolute, args.test_last)
+    """The training-prefix length: --split (below 1 a fraction of n, from 1 a count), or all but
+    --test-last; half of n if neither is given."""
+    if args.split is not None and args.test_last is not None:
+        raise ValueError("--split and --test-last are mutually exclusive")
+    if args.test_last is not None:
+        out = n - args.test_last
+    elif args.split is not None and args.split >= 1.0:
+        out = int(args.split)
+    else:
+        out = int(n * (0.5 if args.split is None else args.split))
+    if not 0 < out < n:
+        raise ValueError(f"--split/--test-last leaves no usable train/test data (train={out}, n={n})")
+    return out
 
 
 def cmd_fit(args) -> int:
@@ -189,19 +193,13 @@ def cmd_sample_trees(args) -> int:
     cfg, _ = _resolve_config(args, series)
     fitted = fit_series(series, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     rng = np.random.default_rng(args.seed)
-    counts: dict[tuple, int] = {}
-    for _ in range(args.count):
-        tree = fitted.trie.sample_tree(rng)
-        counts[tree.leaves] = counts.get(tree.leaves, 0) + 1
-    rows = []
-    for leaves, c in sorted(counts.items(), key=lambda kv: -kv[1]):
-        tree = TreeModel(cfg.quantizer().alphabet_size, leaves)
-        rows.append({
-            "leaves": ["".join(map(str, leaf)) for leaf in leaves],
-            "count": c,
-            "frequency": c / args.count,
-            "posterior": fitted.posterior_of(tree),
-        })
+    counts = Counter(fitted.trie.sample_tree(rng) for _ in range(args.count))
+    rows = [{
+        "leaves": ["".join(map(str, leaf)) for leaf in tree.leaves],
+        "count": c,
+        "frequency": c / args.count,
+        "posterior": fitted.posterior_of(tree),
+    } for tree, c in counts.most_common()]
     doc = {"samples": args.count, "seed": args.seed, "trees": rows}
     _emit(sio.dumps_canonical(doc), args.output)
     return 0
@@ -229,28 +227,33 @@ def cmd_evidence_grid(args) -> int:
 
 
 def parse_generative_spec(doc: dict) -> GenerativeSpec:
-    """Generative spec from a JSON document (see README for the schema)."""
-    kind = doc["kind"]
-    thresholds = tuple(float(v) for v in doc["thresholds"])
-    m = len(thresholds) + 1
+    """Generative spec from a JSON document (see README for the schema); ValueError names a bad field."""
+    if not isinstance(doc, dict):
+        raise ValueError("spec document is not a JSON object")
+    kind = _doc_field(doc, "kind", (str,), name="spec")
+    thresholds = tuple(float(v) for v in _doc_field(doc, "thresholds", (list,), _NUMBER, "spec"))
     leaves = {}
-    for entry in doc["leaves"]:
-        ctx = tuple(int(s) for s in entry["context"])
+    for k, entry in enumerate(_doc_field(doc, "leaves", (list,), name="spec")):
+        leaf = f"spec leaf {k}"
+        ctx = tuple(_doc_field(entry, "context", (list,), (int,), leaf))
+        if ctx in leaves:
+            raise ValueError(f"{leaf} field 'context' repeats an earlier leaf's")
         if kind == "ar":
             leaves[ctx] = ArLeaf(
-                phi=tuple(float(v) for v in entry["phi"]),
-                sigma2=float(entry["sigma2"]),
-                intercept=float(entry.get("intercept", 0.0)),
+                phi=tuple(float(v) for v in _doc_field(entry, "phi", (list,), _NUMBER, leaf)),
+                sigma2=float(_doc_field(entry, "sigma2", _NUMBER, name=leaf)),
+                intercept=float(_doc_field(entry, "intercept", _NUMBER + (type(None),), name=leaf) or 0.0),
             )
         else:
-            leaves[ctx] = ArchLeaf(alpha=tuple(float(v) for v in entry["alpha"]))
+            leaves[ctx] = ArchLeaf(alpha=tuple(float(v) for v in _doc_field(entry, "alpha", (list,), _NUMBER, leaf)))
+    burn_in = _doc_field(doc, "burn_in", (int, type(None)), name="spec")
     return GenerativeSpec(
         kind=kind,
-        tree=TreeModel(m, tuple(leaves)),
+        tree=TreeModel(len(thresholds) + 1, tuple(leaves)),
         quantizer=Quantizer(thresholds),
         leaf_params=leaves,
-        burn_in=int(doc.get("burn_in", 200)),
-        init_scale=doc.get("init_scale"),
+        burn_in=200 if burn_in is None else burn_in,
+        init_scale=_doc_field(doc, "init_scale", _NUMBER + (type(None),), name="spec"),
     )
 
 

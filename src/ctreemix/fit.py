@@ -17,21 +17,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .quantizer import Quantizer
-from .tree import ContextTrie, TreeModel, default_beta
+from .tree import ContextTrie, TreeModel
 
 
 class FittedModel:
     """A fitted trie plus the rolling history needed to predict and update."""
 
     def __init__(self, model, quantizer: Quantizer, depth: int, beta: Optional[float] = None):
-        m = quantizer.alphabet_size
-        if beta is None:
-            beta = default_beta(m)
         self.model = model
         self.quantizer = quantizer
         self.depth = depth
-        self.beta = beta
-        self.trie = ContextTrie(model, m, depth, beta)
+        self.trie = ContextTrie(model, quantizer.alphabet_size, depth, beta)
+        self.beta = self.trie.beta
         self.init_len = max(depth, model.order)
         self._history: deque[float] = deque(maxlen=model.order)  # the lags of the next sample
         self._symbols: deque[int] = deque(maxlen=depth)  # its context, each sample quantized once

@@ -23,13 +23,25 @@ from .quantizer import Quantizer
 from .tree import TreeModel, default_beta
 
 
-def _doc_field(doc: dict, path: str, types: tuple = (int,)):
-    """The value at a dotted path of a fit document, if it has one of the JSON types given."""
+_NUMBER = (int, float)
+
+
+def _typed(value, types: tuple) -> bool:
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
+def _doc_field(doc: dict, path: str, types: tuple = (int,), items: Optional[tuple] = None,
+               name: str = "model document"):
+    """The value at a dotted path of a JSON document, if it has one of the types given.
+
+    A missing field reads as None; a list must also hold only values of
+    the ``items`` types, if given.  ValueError names the field.
+    """
     value = doc
     for key in path.split("."):
         value = value.get(key) if isinstance(value, dict) else None
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ValueError(f"model document field {path!r} is missing or malformed")
+    if not _typed(value, types) or (items is not None and not all(_typed(v, items) for v in value)):
+        raise ValueError(f"{name} field {path!r} is missing or malformed")
     return value
 
 
@@ -85,17 +97,15 @@ class RunConfig:
         kind = _doc_field(doc, "model", (str,))
         if kind not in ("ar", "arch"):
             raise ValueError(f"model document field 'model' is malformed: {kind!r}")
-        thresholds = _doc_field(doc, "quantizer.thresholds", (list,))
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in thresholds):
-            raise ValueError("model document field 'quantizer.thresholds' is missing or malformed")
+        thresholds = _doc_field(doc, "quantizer.thresholds", (list,), _NUMBER)
         if kind == "ar":
-            family = {"tau": float(_doc_field(doc, "prior.tau", (int, float))),
-                      "lam": float(_doc_field(doc, "prior.lam", (int, float)))}
+            family = {"tau": float(_doc_field(doc, "prior.tau", _NUMBER)),
+                      "lam": float(_doc_field(doc, "prior.lam", _NUMBER))}
         else:
             family = {"fisher_iters": _doc_field(doc, "fisher_iters")}
         return cls(kind=kind, thresholds=tuple(float(v) for v in thresholds),
                    order=_doc_field(doc, "order"), depth=_doc_field(doc, "depth"),
-                   beta=float(_doc_field(doc, "beta", (int, float))),
+                   beta=float(_doc_field(doc, "beta", _NUMBER)),
                    intercept=_doc_field(doc, "intercept", (bool,)), **family)
 
 
@@ -123,23 +133,6 @@ class EvalReport:
     leaf_params: dict = field(default_factory=dict)
 
 
-def resolve_train_len(n: int, train_frac: Optional[float], train_len: Optional[int],
-                      test_last: Optional[int]) -> int:
-    """Training-prefix length from exactly one of the three conventions."""
-    given = [v is not None for v in (train_frac, train_len, test_last)]
-    if sum(given) > 1:
-        raise ValueError("give at most one of train_frac / train_len / test_last")
-    if test_last is not None:
-        out = n - test_last
-    elif train_len is not None:
-        out = train_len
-    else:
-        out = int(n * (0.5 if train_frac is None else train_frac))
-    if not 0 < out < n:
-        raise ValueError(f"split leaves no usable train/test data (train={out}, n={n})")
-    return out
-
-
 def gaussian_log_density(x: float, mean: float, var: float) -> float:
     return -0.5 * (LOG_2PI + log(var)) - (x - mean) ** 2 / (2.0 * var)
 
@@ -147,14 +140,14 @@ def gaussian_log_density(x: float, mean: float, var: float) -> float:
 def rolling_forecast(
     series: Sequence[float],
     config: RunConfig,
-    train_frac: Optional[float] = None,
     train_len: Optional[int] = None,
-    test_last: Optional[int] = None,
 ) -> EvalReport:
-    """Fit on the training prefix, then walk the test set one step at a time."""
+    """Fit on the first train_len samples (default: half), then walk the rest one step at a time."""
     series = np.asarray(series, dtype=float)
     n = len(series)
-    split = resolve_train_len(n, train_frac, train_len, test_last)
+    split = n // 2 if train_len is None else train_len
+    if not 0 < split < n:
+        raise ValueError(f"train_len leaves no usable train/test data (train={split}, n={n})")
     fitted = fit_series(series[:split], config.make_model(), config.quantizer(),
                         config.depth, config.beta)
     records: list[ForecastRecord] = []

@@ -39,8 +39,8 @@ class ArchLeaf:
     alpha: tuple[float, ...]
 
     def __post_init__(self):
-        if self.alpha[0] <= 0:
-            raise ValueError("alpha_0 must be positive")
+        if not self.alpha or self.alpha[0] <= 0:
+            raise ValueError("alpha_0 must be given and positive")
         if any(a < 0 for a in self.alpha[1:]):
             raise ValueError("lag coefficients must be >= 0")
 
@@ -60,6 +60,8 @@ class GenerativeSpec:
     def __post_init__(self):
         if self.kind not in ("ar", "arch"):
             raise ValueError("kind must be 'ar' or 'arch'")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if set(self.leaf_params) != set(self.tree.leaves):
             raise ValueError("leaf_params must cover exactly the tree leaves")
         if self.quantizer.alphabet_size != self.tree.m:

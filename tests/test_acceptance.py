@@ -155,10 +155,8 @@ def sim1_forecasts():
     mix, single, oracle = [], [], []
     for seed in range(10):
         series = cm.generate(spec, 600, seed=seed)
-        mix.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=10),
-                                    train_frac=0.5).mse)
-        single.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=0),
-                                       train_frac=0.5).mse)
+        mix.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=10)).mse)
+        single.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=0)).mse)
         errs = [
             (series[i] - sum(c * series[i - 1 - k] for k, c in enumerate(
                 spec.leaf_params[spec.tree.state_of((Q0(series[i - 1]), Q0(series[i - 2])))].phi))) ** 2
@@ -192,7 +190,7 @@ def test_c7c_sim3_mse_band():
     for seed in range(10):
         series = cm.generate(spec, 200, seed=seed)
         cfg = RunConfig(kind="ar", thresholds=(-0.2,), order=5, depth=10)
-        mses.append(rolling_forecast(series, cfg, train_frac=0.5).mse)
+        mses.append(rolling_forecast(series, cfg).mse)
     med = float(np.median(mses))
     report("7c", med < 1.1, f"sim_3 rolling MSE median {med:.4f} (must be < 1.1)")
 
@@ -224,7 +222,8 @@ def test_c9_mle_matches_independent_optimiser():
     for seed in range(10):
         alpha = (0.1 + 0.05 * (seed % 3), 0.2, 0.15 + 0.02 * (seed % 2))
         st = simulate_arch_node(3000, alpha, seed=400 + seed)
-        theta = cm.fisher_scoring(st, initial_theta(st, 2), 200)
+        cm.ArchModel(cm.ArchConfig(order=2, fisher_iters=200)).fit_state(st)
+        theta = st.theta
         res = optimize.minimize(
             lambda t: -cm.arch_loglik(st, t),
             initial_theta(st, 2),

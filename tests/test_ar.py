@@ -277,7 +277,7 @@ class TestPosterior:
         f = fit_series(series, ArModel(ArHyperParams(order=2)), Quantizer((0.0,)), 10, 0.5)
         node = f.trie.walk((1,))
         post = posterior_ar(node.state, ArHyperParams(order=2))
-        assert np.abs(post.map_phi - np.array([0.7, -0.3])).max() < 0.15
+        assert np.abs(post.mean - np.array([0.7, -0.3])).max() < 0.15
         assert 0.11 < post.map_sigma2 < 0.20
 
     def test_contraction_on_single_ar(self):
@@ -293,7 +293,7 @@ class TestPosterior:
         for i in range(2, len(x)):
             model.observe([st], x[i], (x[i - 1], x[i - 2]))
         post = posterior_ar(st, hp)
-        assert np.abs((post.map_phi - phi) / phi).max() < 0.05
+        assert np.abs((post.mean - phi) / phi).max() < 0.05
         assert abs(post.map_sigma2 - s2) / s2 < 0.05
 
 

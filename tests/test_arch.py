@@ -12,8 +12,6 @@ from ctreemix import (
     ArchNodeState,
     arch_loglik,
     arch_score_and_info,
-    fisher_scoring,
-    log_pe_arch_laplace,
 )
 from ctreemix import arch
 from ctreemix.arch import ALPHA0_FLOOR, initial_theta, project_feasible
@@ -105,8 +103,8 @@ class TestScoreAndInfo:
 
     def test_score_small_at_mle(self):
         st = simulate_arch_node(2000, (0.15, 0.3), seed=7)
-        theta = fisher_scoring(st, initial_theta(st, 1), 200)
-        score, _ = arch_score_and_info(st, theta)
+        ArchModel(ArchConfig(order=1, fisher_iters=200)).fit_state(st)
+        score, _ = arch_score_and_info(st, st.theta)
         assert np.linalg.norm(score) < 1e-6 * st.count
 
 
@@ -114,7 +112,9 @@ class TestFisherScoring:
     def test_zero_iterations_returns_init(self):
         st = simulate_arch_node(30, (0.3, 0.2), seed=8)
         init = np.array([0.4, 0.1])
-        assert np.array_equal(fisher_scoring(st, init, 0), init)
+        st.theta = init
+        ArchModel(ArchConfig(order=1)).fit_state(st, warm=True, iters=0)
+        assert np.array_equal(st.theta, init)
 
     def test_projection(self):
         out = project_feasible(np.array([-0.5, 1.7, -0.2]))
@@ -124,8 +124,8 @@ class TestFisherScoring:
     def test_recovers_generator_coefficients(self):
         # sampling error of the MLE at n=5000 is ~0.02 per lag coefficient
         st = simulate_arch_node(5000, (0.10, 0.20, 0.20), seed=20)
-        theta = fisher_scoring(st, initial_theta(st, 2), 60)
-        assert np.abs(theta - np.array([0.10, 0.20, 0.20])).max() < 0.03
+        ArchModel(ArchConfig(order=2, fisher_iters=60)).fit_state(st)
+        assert np.abs(st.theta - np.array([0.10, 0.20, 0.20])).max() < 0.03
 
     # interior optima, and optima with the last lag on its bound at 0
     @pytest.mark.parametrize("alpha, seed", [
@@ -134,7 +134,8 @@ class TestFisherScoring:
     ])
     def test_matches_box_constrained_optimiser(self, alpha, seed):
         st = simulate_arch_node(3000, alpha, seed=seed)
-        theta = fisher_scoring(st, initial_theta(st, 2), 200)
+        ArchModel(ArchConfig(order=2, fisher_iters=200)).fit_state(st)
+        theta = st.theta
         res = optimize.minimize(
             lambda t: -arch_loglik(st, t),
             initial_theta(st, 2),
@@ -302,11 +303,11 @@ class TestBatchKernel:
     @pytest.mark.parametrize("key", [k for k in kernel_states() if k != "empty"])
     def test_single_state_functions_match_scalar_oracle(self, key):
         st, ref = kernel_states()[key], kernel_states()[key]
-        init = initial_theta(st, 2)
-        theta = fisher_scoring(st, init, 10)
-        assert theta.tolist() == scalar_fisher_scoring(ref, init, 10).tolist()
+        ArchModel(self.CFG).fit_state(st)
+        theta = st.theta
+        assert theta.tolist() == scalar_fisher_scoring(ref, initial_theta(ref, 2), 10).tolist()
         assert st.nonconverged == ref.nonconverged
-        assert log_pe_arch_laplace(st, theta) == scalar_log_pe_arch_laplace(ref, theta)
+        assert st.log_pe_cached == scalar_log_pe_arch_laplace(ref, theta)
         assert st.flagged == ref.flagged
         assert arch_loglik(st, theta) == scalar_loglik(ref, theta)
         for got, want in zip(arch_score_and_info(st, theta), scalar_score_and_info(ref, theta)):

@@ -1,8 +1,11 @@
 """End-to-end command-line checks driven through main()."""
 
+import argparse
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +15,7 @@ import pytest
 
 import ctreemix
 from ctreemix import io as sio
-from ctreemix.cli import main
+from ctreemix.cli import _train_len, build_parser, main
 
 
 def run(args):
@@ -243,8 +246,10 @@ def test_usage_errors(tmp_path, capsys):
     (["evidence-grid", "--thresholds", "0", "--threshold-candidates=0.5;1"],
      "--thresholds and --threshold-candidates are mutually exclusive"),
     (["evidence-grid", "--threshold-candidates="], "candidate sets must be nonempty"),
+    (["forecast", "--thresholds", "0", "--order", "2", "--split", "0.5", "--test-last", "10"],
+     "--split and --test-last are mutually exclusive"),
 ], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero",
-        "thresholds-and-candidates", "empty-candidates"])
+        "thresholds-and-candidates", "empty-candidates", "split-and-test-last"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1
@@ -279,6 +284,72 @@ def test_spec_file_simulation(tmp_path):
     assert run(["simulate", "--spec", str(spec_path), "--n", "50", "--seed", "4", "-o", str(out)]) == 0
     values = sio.ingest_csv(str(out))
     assert len(values) == 51  # includes one initial-context sample
+
+
+AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([AR_LEAF], "spec document is not a JSON object"),
+    ({"kind": "ar", "thresholds": 0, "leaves": [AR_LEAF]}, "spec field 'thresholds' is missing or malformed"),
+    ({"kind": "ar", "thresholds": [0.0], "leaves": [AR_LEAF, {"context": [1], "phi": [-0.3]}]},
+     "spec leaf 1 field 'sigma2' is missing or malformed"),
+    ({"kind": "ar", "thresholds": [0.0], "leaves": [{**AR_LEAF, "phi": ["0.3"]}]},
+     "spec leaf 0 field 'phi' is missing or malformed"),
+    ({"kind": "ar", "thresholds": [0.0], "leaves": [{**AR_LEAF, "context": 0}]},
+     "spec leaf 0 field 'context' is missing or malformed"),
+    ({"kind": "ar", "thresholds": [0.0], "leaves": [AR_LEAF, {**AR_LEAF, "context": [1]}, AR_LEAF]},
+     "spec leaf 2 field 'context' repeats an earlier leaf's"),
+    ({"kind": "ar", "thresholds": [0.0], "leaves": [{**AR_LEAF, "context": []}], "burn_in": -50},
+     "burn_in must be >= 0"),
+], ids=["list", "thresholds-number", "no-sigma2", "phi-string", "context-number", "repeated-context",
+        "negative-burn-in"])
+def test_malformed_spec_file_fails_with_one_error_line(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run(["simulate", "--spec", str(spec_path), "--n", "10", "-o", str(tmp_path / "sim.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestSplit:
+    """The one rule turning --split and --test-last into a training-prefix length."""
+
+    @staticmethod
+    def train_len(n, split=None, test_last=None):
+        return _train_len(argparse.Namespace(split=split, test_last=test_last), n)
+
+    def test_default_is_half(self):
+        assert self.train_len(600) == 300
+
+    def test_fraction_and_absolute(self):
+        assert self.train_len(200, split=0.25) == 50
+        assert self.train_len(200, split=120) == 120
+        assert self.train_len(200, test_last=30) == 170
+
+    def test_conflicting_or_degenerate(self):
+        with pytest.raises(ValueError, match="--split and --test-last"):
+            self.train_len(100, split=0.5, test_last=50)
+        with pytest.raises(ValueError, match="no usable"):
+            self.train_len(100, split=100)
+        with pytest.raises(ValueError, match="no usable"):
+            self.train_len(100, test_last=100)
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [
+        line.strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("ctreemix ")
+    ]
+    assert len(lines) >= 6
+    for line in lines:
+        lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+        lexer.whitespace_split = True
+        tokens = list(lexer)
+        assert not any(set(tok) <= set(lexer.punctuation_chars) for tok in tokens), f"not one command: {line}"
+        build_parser().parse_args(tokens[1:])
 
 
 def test_module_entry_point_runs_the_cli():

@@ -1,4 +1,4 @@
-"""Rolling one-step evaluation: split handling, record consistency, refresh identity."""
+"""Rolling one-step evaluation: training length, record consistency, refresh identity."""
 
 import math
 
@@ -9,32 +9,21 @@ from ctreemix import Quantizer, builtin_specs, fit_series, generate
 from ctreemix.forecasting import (
     RunConfig,
     gaussian_log_density,
-    resolve_train_len,
     rolling_forecast,
 )
 
 from helpers import small_ar_model
 
 
-class TestSplit:
-    def test_default_is_half(self):
-        assert resolve_train_len(600, None, None, None) == 300
-
-    def test_fraction_and_absolute(self):
-        assert resolve_train_len(200, 0.25, None, None) == 50
-        assert resolve_train_len(200, None, 120, None) == 120
-        assert resolve_train_len(200, None, None, 30) == 170
-
-    def test_conflicting_or_degenerate(self):
-        with pytest.raises(ValueError):
-            resolve_train_len(100, 0.5, 50, None)
-        with pytest.raises(ValueError):
-            resolve_train_len(100, None, 100, None)
-        with pytest.raises(ValueError):
-            resolve_train_len(100, None, None, 100)
-
-
 class TestRollingAr:
+    def test_train_len_defaults_to_half_and_must_leave_both_parts(self):
+        series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
+        cfg = RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5)
+        assert rolling_forecast(series, cfg).train_len == len(series) // 2
+        for bad in (0, len(series)):
+            with pytest.raises(ValueError, match="no usable train/test data"):
+                rolling_forecast(series, cfg, train_len=bad)
+
     def test_record_consistency(self):
         series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
         rep = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5))
@@ -102,7 +91,7 @@ class TestRollingArch:
         rep = rolling_forecast(
             series,
             RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3, fisher_iters=10),
-            test_last=130,
+            train_len=len(series) - 130,
         )
         assert math.isfinite(rep.cumulative_log_loss)
         train = series[: rep.train_len]
