@@ -62,13 +62,13 @@ class ArHyperParams:
 
 
 class ArSufficientStats:
-    """A node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
+    """One node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
 
-    The arrays may be row views of arrays shared by the nodes of one depth;
-    a node only ever adds to its own rows.  ``loc`` and ``resid`` hold the
-    posterior location (s3 + I)^{-1} s2 and the residual d that
-    ``log_pe_ar`` solved when it last scored the state, or None when the
-    sums changed since (``ArModel.observe`` clears them).
+    ``loc`` and ``resid`` hold the posterior location (s3 + I)^{-1} s2 and
+    the residual d that ``log_pe_ar`` solved when it last scored the
+    state, or None when the sums changed since (``ArModel.observe`` clears
+    them).  A trie keeps its nodes' sums in ``_ArColumns`` instead; its
+    ``nodes()`` hand out copies of a row as ``ArSufficientStats``.
     """
 
     __slots__ = ("count", "s1", "s2", "s3", "loc", "resid")
@@ -84,13 +84,76 @@ class ArSufficientStats:
     def dim(self) -> int:
         return len(self.s2)
 
-    @classmethod
-    def from_sums(cls, count: int, s1: float, s2: np.ndarray, s3: np.ndarray) -> "ArSufficientStats":
-        """Statistics holding the given sums (the arrays are kept, not copied)."""
-        out = cls.__new__(cls)
-        out.count, out.s1, out.s2, out.s3 = count, s1, s2, s3
-        out.loc = out.resid = None
-        return out
+
+class _ArColumns:
+    """The sums of a trie's AR nodes, one row per node id, in arrays that double when full.
+
+    Row k of ``sums`` holds node k's count (a float64, exact below 2^53),
+    s1, s2 (q values) and s3 (q * q values, row by row), so that a sample
+    adds one row to each node of its path.  ``loc`` (N, q) and ``resid``
+    (N,) hold the posterior each node's last scoring solved, resid NaN
+    while the sums changed since.
+    """
+
+    __slots__ = ("n", "q", "sums", "loc", "resid")
+
+    def __init__(self, sums: np.ndarray, q: int):
+        self.n, self.q, self.sums = len(sums), q, sums
+        self.loc = np.zeros((self.n, q))
+        self.resid = np.full(self.n, np.nan)
+
+    @staticmethod
+    def unpack(sums: np.ndarray, q: int):
+        """Views of the count, s1, s2 and s3 in rows of sums: (K,), (K,), (K, q) and (K, q, q)."""
+        return sums[:, 0], sums[:, 1], sums[:, 2:2 + q], sums[:, 2 + q:].reshape(-1, q, q)
+
+    def __getitem__(self, i: int) -> ArSufficientStats:
+        """A copy of node i's sums and kept posterior."""
+        row, q = self.sums[i].copy(), self.q
+        st = ArSufficientStats.__new__(ArSufficientStats)
+        st.count, st.s1, st.s2, st.s3 = int(row[0]), float(row[1]), row[2:2 + q], row[2 + q:].reshape(q, q)
+        resid = self.resid.item(i)
+        st.loc, st.resid = (None, None) if resid != resid else (self.loc[i].copy(), resid)
+        return st
+
+    def take(self, ids) -> "_ArRows":
+        return _ArRows(self, np.asarray(ids, dtype=np.intp))
+
+    def extend(self, other: "_ArColumns") -> None:
+        """Append the rows of other after the last row, doubling the arrays when full."""
+        n, k = self.n, other.n
+        if n + k > len(self.sums):
+            cap = max(n + k, 2 * len(self.sums))
+            for name in ("sums", "loc", "resid"):
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:])
+                new[:n] = old[:n]
+                setattr(self, name, new)
+        self.sums[n:n + k], self.loc[n:n + k], self.resid[n:n + k] = other.sums, other.loc, other.resid
+        self.n = n + k
+
+
+class _ArRows:
+    """A batch of a trie's AR nodes: rows ids of one _ArColumns."""
+
+    __slots__ = ("cols", "ids")
+
+    def __init__(self, cols: _ArColumns, ids: np.ndarray):
+        self.cols, self.ids = cols, ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _as_rows(states) -> _ArRows:
+    """A trie's rows as given, or a sequence of ArSufficientStats copied into columns of their own."""
+    if isinstance(states, _ArRows):
+        return states
+    k, q = len(states), len(states[0].s2)
+    sums = np.column_stack([[float(st.count) for st in states], [st.s1 for st in states],
+                            np.reshape([st.s2 for st in states], (k, q)),
+                            np.reshape([st.s3 for st in states], (k, q * q))])
+    return _ArColumns(sums, q).take(np.arange(k))
 
 
 @cache
@@ -99,42 +162,45 @@ def _identity(q: int) -> np.ndarray:
     return np.eye(q)
 
 
-def _posterior_core(states: Sequence[ArSufficientStats]):
-    """The stack a = s3 + I, the solutions loc of a loc = s2, and d = s1 - s2' loc; one row per state.
+def _posterior_core(rows: _ArRows):
+    """The stack a = s3 + I, the solutions loc of a loc = s2, and d = s1 - s2' loc; one row per node.
 
     LAPACK solves each matrix of a stack on its own and every other step is
-    elementwise, so a state's row does not depend on the other states.  loc
-    is read only: states keep its rows.
+    elementwise, so a node's row does not depend on the other nodes.  The
+    columns keep loc and d as the nodes' posteriors; loc is read only, as
+    states scored outside a trie keep its rows.
     """
-    a = np.array([st.s3 for st in states])
+    cols, ids = rows.cols, rows.ids
+    _, s1, b, a = cols.unpack(cols.sums[ids], cols.q)
     a += _identity(a.shape[1])
-    b = np.array([st.s2 for st in states])
     loc = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    loc.flags.writeable = False
     b_loc = b[:, 0] * loc[:, 0]
     for i in range(1, b.shape[1]):  # column by column: the same summation order for any batch
         b_loc += b[:, i] * loc[:, i]
-    d = np.array([st.s1 for st in states]) - b_loc
-    return a, loc, np.maximum(d, 0.0)  # roundoff guard; d is a residual quadratic form
+    d = np.maximum(s1 - b_loc, 0.0)  # roundoff guard; d is a residual quadratic form
+    cols.loc[ids], cols.resid[ids] = loc, d
+    loc.flags.writeable = False
+    return a, loc, d
 
 
-def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[float]:
+def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
     """Log marginal likelihood of each state's data, parameters integrated out.
 
-    One call scores a whole batch with one stacked Cholesky factorisation
-    and one stacked solve; each value is bit-identical to scoring its state
-    alone.  Each state keeps its posterior location and residual for
-    ``posterior_ar``.  Raises np.linalg.LinAlgError if a matrix s3 + I is
-    not numerically positive definite.
+    ``states`` is a sequence of ``ArSufficientStats`` or a batch of a
+    trie's nodes.  One call scores the whole batch with one stacked
+    Cholesky factorisation and one stacked solve; each value is
+    bit-identical to scoring its state alone.  Each state keeps its
+    posterior location and residual for ``posterior_ar``.  Raises
+    np.linalg.LinAlgError if a matrix s3 + I is not numerically positive
+    definite.
     """
-    a, loc, d = _posterior_core(states)
+    rows = _as_rows(states)
+    a, loc, d = _posterior_core(rows)
     diag = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).tolist()
     tau, lam = hp.tau, hp.lam
     prior = tau * log(lam) - lgamma(tau)
     out = []
-    for st, low_diag, loc_k, d_k in zip(states, diag, loc, d.tolist()):
-        st.loc, st.resid = loc_k, d_k
-        n = st.count
+    for n, low_diag, d_k in zip(rows.cols.sums[rows.ids, 0].tolist(), diag, d.tolist()):
         if n == 0:
             out.append(0.0)
             continue
@@ -145,6 +211,9 @@ def log_pe_ar(states: Sequence[ArSufficientStats], hp: ArHyperParams) -> list[fl
             + prior
             - (tau + 0.5 * n) * log(lam + 0.5 * d_k)
         )
+    if rows is not states:
+        for st, loc_k, d_k in zip(states, loc, d.tolist()):
+            st.loc, st.resid = loc_k, d_k
     return out
 
 
@@ -170,7 +239,7 @@ def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     """
     loc, resid = stats.loc, stats.resid
     if loc is None:
-        _, locs, d = _posterior_core([stats])
+        _, locs, d = _posterior_core(_as_rows([stats]))
         loc, resid = locs[0], float(d[0])
     return ArPosterior(mean=loc, ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * resid)
 
@@ -185,11 +254,12 @@ class ArModel:
     def order(self) -> int:
         return self.hp.order
 
-    def new_state(self) -> ArSufficientStats:
-        return ArSufficientStats(self.hp.dim)
+    def new_states(self, k: int) -> _ArColumns:
+        q = self.hp.dim
+        return _ArColumns(np.zeros((k, 2 + q + q * q)), q)
 
-    def observe(self, states: Sequence[ArSufficientStats], x: float, lags: Sequence[float]) -> None:
-        """Add one sample to each state, in place.
+    def observe(self, states, x: float, lags: Sequence[float]) -> None:
+        """Add one sample to each state (ArSufficientStats, or a batch of a trie's nodes), in place.
 
         The terms are the float64 products observe_batch sums, so adding
         them continues its in-order sums bit for bit.  Clears each state's
@@ -197,6 +267,10 @@ class ArModel:
         """
         design = np.array(self.hp.design(lags))
         xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
+        if isinstance(states, _ArRows):
+            states.cols.sums[states.ids] += np.concatenate(((1.0, xx), xd, dd.ravel()))
+            states.cols.resid[states.ids] = np.nan
+            return
         for st in states:
             st.count += 1
             st.s1 += xx
@@ -204,34 +278,39 @@ class ArModel:
             st.s3 += dd
             st.loc = st.resid = None
 
-    def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArSufficientStats]:
-        """One state per index 0..K-1 of inverse, holding the sums of the rows mapped to it.
+    def observe_batch(self, labels: np.ndarray, x: np.ndarray, lags: np.ndarray) -> _ArColumns:
+        """The columns of nodes 0..K-1, node k holding the sums of the samples i with k in labels[:, i].
 
-        np.bincount adds its weights in input order starting from 0.0, as
-        observe does one sample at a time, and each product is the same
-        float64 product, so every sum is bit-identical to the loop.  State k
-        holds the row views s2[k] and s3[k] of the depth's arrays.
+        One np.bincount per sum covers every row of labels; it adds its
+        weights in input order starting from 0.0, as observe does one
+        sample at a time, and each product is the same float64 product, so
+        every sum is bit-identical to the loop.
         """
         design = lags[:, : self.hp.order]
         if self.hp.intercept:
             design = np.column_stack([np.ones(len(x)), design])
         q = design.shape[1]
-        counts = np.bincount(inverse)
+        flat, reps = labels.ravel(), labels.shape[0]
+        counts = np.bincount(flat)
         k = len(counts)
-        s2 = np.empty((k, q))
-        s3 = np.empty((k, q, q))
+
+        def sums(weights):
+            return np.bincount(flat, np.tile(weights, reps), k)
+
+        out = np.empty((k, 2 + q + q * q))
+        count, s1, s2, s3 = _ArColumns.unpack(out, q)
+        count[:], s1[:] = counts, sums(x * x)
         for a in range(q):
             col = design[:, a]
-            s2[:, a] = np.bincount(inverse, x * col, k)
+            s2[:, a] = sums(x * col)
             for b in range(a, q):
-                s3[:, a, b] = s3[:, b, a] = np.bincount(inverse, col * design[:, b], k)
-        s1 = np.bincount(inverse, x * x, k)
-        return list(map(ArSufficientStats.from_sums, map(int, counts), map(float, s1), s2, s3))
+                s3[:, a, b] = s3[:, b, a] = sums(col * design[:, b])
+        return _ArColumns(out, q)
 
     def refresh(self, trie, path, step: int) -> None:
         trie.refresh_path(path)
 
-    def log_pe(self, states: Sequence[ArSufficientStats]) -> list[float]:
+    def log_pe(self, states) -> list[float]:
         return log_pe_ar(states, self.hp)
 
     def predict_from_state(
@@ -241,11 +320,11 @@ class ArModel:
         root_state: Optional[ArSufficientStats] = None,
     ) -> tuple[float, float]:
         """Plug-in one-step predictive mean and variance at the MAP parameters; prior mode for empty states."""
-        post = posterior_ar(self.new_state() if state is None else state, self.hp)
+        post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)
         return float(np.dot(post.mean, self.hp.design(lags))), post.map_sigma2
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
-        post = posterior_ar(self.new_state() if state is None else state, self.hp)
+        post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)
         return {
             "phi": [float(v) for v in post.mean],
             "sigma2": float(post.map_sigma2),

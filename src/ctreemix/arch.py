@@ -91,6 +91,13 @@ class ArchNodeState:
         self.log_pe_cached = None
 
 
+class _ArchStates(list):
+    """The states of a trie's ARCH nodes, indexed by node id."""
+
+    def take(self, ids) -> list[ArchNodeState]:
+        return [self[i] for i in ids]
+
+
 def project_feasible(theta: np.ndarray) -> np.ndarray:
     """Clamp into the prior support: alpha_0 >= floor, alpha_j in [0, 1].
 
@@ -230,6 +237,7 @@ class _Stack:
         for k in np.flatnonzero(singular).tolist():
             info[k] = _damped(info[k])
             _, logdet[k] = np.linalg.slogdet(info[k])
+        logdet = logdet.tolist()
         # Mass of the Laplace Gaussian inside the support box, coordinatewise.
         se = np.sqrt(np.maximum(np.diagonal(np.linalg.inv(info), axis1=1, axis2=2), 0.0)).tolist()
         values = []
@@ -284,8 +292,8 @@ class ArchModel:
     def order(self) -> int:
         return self.cfg.order
 
-    def new_state(self) -> ArchNodeState:
-        return ArchNodeState()
+    def new_states(self, k: int) -> "_ArchStates":
+        return _ArchStates(ArchNodeState() for _ in range(k))
 
     def design(self, lags: Sequence[float]) -> tuple[float, ...]:
         return (1.0,) + tuple(v * v for v in lags[: self.cfg.order])
@@ -295,18 +303,19 @@ class ArchModel:
         for state in states:
             state.add(x, z)
 
-    def observe_batch(self, inverse: np.ndarray, x: np.ndarray, lags: np.ndarray) -> list[ArchNodeState]:
-        """One state per index 0..K-1 of inverse, holding the rows mapped to it.
+    def observe_batch(self, labels: np.ndarray, x: np.ndarray, lags: np.ndarray) -> "_ArchStates":
+        """The states of nodes 0..K-1, node k holding the rows i with k in labels[:, i].
 
         A stable sort groups the rows per state in their original order, so
         each state holds what observe would have appended one at a time.
         """
-        rows = np.argsort(inverse, kind="stable")
+        flat = labels.ravel()
+        rows = np.argsort(flat, kind="stable") % len(x)
         sq = lags[rows, : self.cfg.order]
         z = np.column_stack([np.ones(len(rows)), sq * sq])
         xs = x[rows]
-        ends = np.cumsum(np.bincount(inverse)).tolist()
-        return [ArchNodeState(xs[a:b], z[a:b]) for a, b in zip([0] + ends, ends)]
+        ends = np.cumsum(np.bincount(flat)).tolist()
+        return _ArchStates(ArchNodeState(xs[a:b], z[a:b]) for a, b in zip([0] + ends, ends))
 
     def fit_states(self, states: Sequence[ArchNodeState], warm: bool = False, iters: Optional[int] = None) -> None:
         """(Re)fit every state's MLE and cache its approximate log marginal, the non-empty ones in one stack.
@@ -343,11 +352,11 @@ class ArchModel:
     def refresh(self, trie, path, step: int) -> None:
         """Warm-refit the path's nodes and refresh the path; every FULL_REFRESH_EVERY-th step, refit all nodes cold."""
         if step % FULL_REFRESH_EVERY == 0:
-            for _, node in trie.nodes():
-                node.state.log_pe_cached = None
+            for state in trie.states:
+                state.log_pe_cached = None
             trie.full_sweep()
         else:
-            self.fit_states([node.state for node in path], warm=True, iters=WARM_ITERS)
+            self.fit_states(trie.states.take(path), warm=True, iters=WARM_ITERS)
             trie.refresh_path(path)
 
     def log_pe(self, states: Sequence[ArchNodeState]) -> list[float]:

@@ -116,18 +116,20 @@ def _load_series(args):
     return series, tspec
 
 
-def _train_len(args, n: int) -> int:
-    """The training-prefix length: --split (below 1 a fraction of n, from 1 a count), or all but
-    --test-last; half of n if neither is given."""
+def _train_len(args, n: int, need_test: bool = True) -> int:
+    """The training-prefix length: --split (below 1 a fraction of n, from 1 a whole count), or all but
+    --test-last; half of n if neither is given.  It leaves at least one test sample if need_test."""
     if args.split is not None and args.test_last is not None:
         raise ValueError("--split and --test-last are mutually exclusive")
     if args.test_last is not None:
         out = n - args.test_last
     elif args.split is not None and args.split >= 1.0:
+        if args.split != int(args.split):
+            raise ValueError(f"--split {args.split!r} is neither a fraction below 1 nor a whole count of samples")
         out = int(args.split)
     else:
         out = int(n * (0.5 if args.split is None else args.split))
-    if not 0 < out < n:
+    if not 0 < out <= n - need_test:
         raise ValueError(f"--split/--test-last leaves no usable train/test data (train={out}, n={n})")
     return out
 
@@ -135,7 +137,7 @@ def _train_len(args, n: int) -> int:
 def cmd_fit(args) -> int:
     series, tspec = _load_series(args)
     if args.split is not None or args.test_last is not None:
-        train = series[: _train_len(args, len(series))]
+        train = series[: _train_len(args, len(series), need_test=False)]
     else:
         train = series
     cfg, table = _resolve_config(args, train)

@@ -80,8 +80,9 @@ class FittedModel:
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""
         node = self.trie.map_node(self.current_context())
-        state = node.state if node is not None else None
-        return self.model.predict_from_state(state, self.current_lags(), self.trie.root.state)
+        if node is None:  # a context never observed: the pooled root statistics may stand in
+            return self.model.predict_from_state(None, self.current_lags(), self.trie.root.state)
+        return self.model.predict_from_state(node.state, self.current_lags())  # a node holds data
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
         """MAP parameter document for every leaf of the given (default MAP) tree."""

@@ -1,25 +1,31 @@
 """Context-tree trie with exact evidence, MAP-tree and posterior-sampling sweeps.
 
 The trie holds every observed context of length 0..D, one node per context,
-with per-node sufficient statistics owned by a leaf model.  A leaf model is
-any object providing::
+numbered 0 (the root), 1, 2, ... in the order the nodes are made.  Its
+arrays are indexed by that id: the children (N, m), -1 for a context never
+observed, and the sweep values below.  The per-node sufficient statistics
+live in a store owned by the leaf model, indexed by the same ids.  A leaf
+model is any object providing::
 
     order          -> int, number of raw lag values consumed per observation
-    new_state()    -> fresh per-node statistics object
+    new_states(k)  -> a store of k nodes without data; a store supports
+                      store[i] (node i's state), store.take(ids) (a batch
+                      of nodes for observe and log_pe) and
+                      store.extend(other) (append other's nodes)
     observe(states, x, lags)
-                   -> accumulate one observation into each of the states,
+                   -> accumulate one observation into each state of a batch,
                       the D+1 nodes of its context path
-    observe_batch(inverse, x, lags)
-                   -> one new state per index 0..K-1 of inverse, holding the
-                      rows i (of x and of the 2-D lags array) with
-                      inverse[i] equal to it, as observe would leave it
+    observe_batch(labels, x, lags)
+                   -> a store of nodes 0..K-1, node k holding the rows i (of
+                      x and of the 2-D lags array) with k in labels[:, i], as
+                      observe would leave it
     log_pe(states) -> list of floats, the log marginal likelihood of each
                       state's data; ``full_sweep`` calls it once per depth and
                       ``refresh_path`` once per path, so a state's value must
                       not depend on the other states in the call
     refresh(trie, path, step)
                    -> update the sweeps after the ``step``-th online sample
-                      was observed along ``path`` (the root-first node list
+                      was observed along ``path`` (the root-first node ids
                       ``observe`` returned), e.g. by ``trie.refresh_path(path)``
 
 Three quantities are maintained per node, all in natural-log domain:
@@ -42,6 +48,12 @@ A context never observed contributes P_w = 1 exactly (its prior-weighted
 subtree mixture integrates no data), while its maximised counterpart is
 beta, the prior mass of the bare node.  On ties in the maximising recursion
 the node is pruned, preferring the smaller tree.
+
+Both sweeps run one combine on Python floats: the children are summed in
+child order 0..m-1 from 0.0 and exp and log1p are ``math`` calls.
+``full_sweep`` runs it over every node, the deepest first, and
+``refresh_path`` over the D+1 nodes of one path, so an online step
+reproduces a cold refit bit for bit.
 """
 
 from __future__ import annotations
@@ -84,6 +96,14 @@ class TreeModel:
         if not leaves:
             raise ValueError("a tree has at least the root leaf")
         self._validate_proper()
+
+    @classmethod
+    def _proper(cls, m: int, leaves: list[tuple[int, ...]]) -> "TreeModel":
+        """The tree of leaves known to be proper tuples of ints (a trie's), without checking them again."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "m", m)
+        object.__setattr__(tree, "leaves", tuple(sorted(leaves)))
+        return tree
 
     def _validate_proper(self):
         leafset = set(self.leaves)
@@ -144,27 +164,44 @@ def log_prior(tree: TreeModel, beta: float, depth: int) -> float:
     return (k - 1) * log_alpha + (k - ld) * log(beta)
 
 
-class _Node:
-    __slots__ = ("children", "state", "log_pe", "log_pw", "log_pm", "leaf_wins")
+class _NodeView:
+    """A handle on one node of a trie: its id, its leaf state and its sweep values."""
 
-    def __init__(self, m: int, state):
-        self.children: list[Optional[_Node]] = [None] * m
-        self.state = state
-        self.log_pe = 0.0
-        self.log_pw = 0.0
-        self.log_pm = 0.0
-        self.leaf_wins = True
+    __slots__ = ("trie", "id")
+
+    def __init__(self, trie: "ContextTrie", node_id: int):
+        self.trie, self.id = trie, node_id
+
+    @property
+    def state(self):
+        return self.trie.states[self.id]
+
+    @property
+    def log_pe(self) -> float:
+        return self.trie._log_pe[self.id]
+
+    @property
+    def log_pw(self) -> float:
+        return self.trie._log_pw[self.id]
+
+    @property
+    def log_pm(self) -> float:
+        return self.trie._log_pm[self.id]
+
+    @property
+    def leaf_wins(self) -> bool:
+        return self.trie._leaf_wins[self.id]
 
 
 class ContextTrie:
     """The smallest trie covering every observed context, with its sweeps.
 
     Building is single-writer: ``observe`` routes one sample through the
-    D+1 nodes on its context path, creating nodes lazily, and
-    ``observe_all`` routes a whole batch into a fresh trie.  ``full_sweep``
-    (post-order) or ``refresh_path`` (after a single new observation)
-    recompute the per-node quantities; read-only queries are safe to run
-    concurrently afterwards.
+    D+1 nodes on its context path, creating nodes at the end of the
+    numbering, and ``observe_all`` routes a whole batch into a fresh trie.
+    ``full_sweep`` (one depth at a time from the bottom) or ``refresh_path``
+    (after a single new observation) recompute the per-node quantities;
+    read-only queries are safe to run concurrently afterwards.
     """
 
     def __init__(self, leaf_model, m: int, depth: int, beta: float | None = None):
@@ -188,31 +225,66 @@ class ContextTrie:
         self.beta = beta
         self._log_beta = log(beta)
         self._log_1mbeta = log1p(-beta)
-        # P_m of a never-observed subtree rooted at each depth: beta below D, 1 at D.
-        self._log_pm_missing = [self._log_beta] * depth + [0.0]
-        self.root = _Node(m, leaf_model.new_state())
+        # Per depth d: log P_m of an absent child of a node at d, the prior of the bare
+        # node (beta, or 1 at depth D); None at depth D, whose nodes have no children.
+        self._log_pm_absent = [self._log_beta] * (depth - 1) + [0.0, None] if depth else [None]
+        self.states = leaf_model.new_states(1)
         self.num_obs = 0
-        self.num_nodes = 1
+        self.num_nodes = 1  # the root
+        self._children = np.full((1, m), -1, dtype=np.intp)
+        # The sweep values per node: Python lists, which the per-node combine
+        # and the queries read and write at a fraction of numpy's cost per call.
+        self._log_pe, self._log_pw, self._log_pm, self._leaf_wins = [], [], [], []
+        self._add_values(1)
+        self._kids = None  # the children as lists, for the walks in Python; made on demand
+        self._p_leaf = None  # sample_tree's leaf probabilities, made on demand after each sweep
         self._swept = False
         self._ever_swept = False
 
+    # -- node arrays --------------------------------------------------------
+
+    def _allocate(self, capacity: int) -> None:
+        """The children array for `capacity` nodes, keeping the current ones."""
+        children = np.full((capacity, self.m), -1, dtype=np.intp)
+        children[: self.num_nodes] = self._children[: self.num_nodes]
+        self._children = children
+
+    def _add_values(self, k: int) -> None:
+        """Sweep values for k more nodes, until a sweep or refresh sets them."""
+        self._log_pe += [0.0] * k
+        self._log_pw += [0.0] * k
+        self._log_pm += [0.0] * k
+        self._leaf_wins += [True] * k
+
     # -- building ----------------------------------------------------------
 
-    def observe(self, x: float, context: tuple[int, ...], lags: tuple[float, ...]) -> list[_Node]:
-        """Route one sample through its context path; returns the path nodes."""
+    def observe(self, x: float, context: tuple[int, ...], lags: tuple[float, ...]) -> list[int]:
+        """Route one sample through its context path; returns the path's node ids, root first."""
         if len(context) != self.depth:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
-        node = self.root
-        path = [node]
+        kids = self._children_lists()
+        path = [0]
         for sym in context:
-            child = node.children[sym]
-            if child is None:
-                child = _Node(self.m, self.model.new_state())
-                node.children[sym] = child
-                self.num_nodes += 1
+            child = kids[path[-1]][sym]
+            if child < 0:
+                break
             path.append(child)
-            node = child
-        self.model.observe([p.state for p in path], x, lags)
+        have = len(path)
+        if have <= self.depth:  # the deeper contexts are new: number them at the end
+            first, k = self.num_nodes, self.depth + 1 - have
+            if first + k > len(self._children):
+                self._allocate(max(first + k, 2 * len(self._children)))
+            new = list(range(first, first + k))
+            parents, syms = [path[-1]] + new[:-1], context[have - 1:]
+            self._children[parents, syms] = new
+            kids.extend([-1] * self.m for _ in new)
+            for parent, sym, child in zip(parents, syms, new):
+                kids[parent][sym] = child
+            self.states.extend(self.model.new_states(k))
+            self._add_values(k)
+            self.num_nodes += k
+            path += new
+        self.model.observe(self.states.take(path), x, lags)
         self.num_obs += 1
         self._swept = False
         return path
@@ -222,10 +294,11 @@ class ContextTrie:
 
         ``contexts[d]`` holds the (d+1)-th most recent symbol of every
         sample, ``x`` the samples and ``lags`` one row of raw lags per
-        sample.  Sample i's node at depth d is numbered by relabelling
+        sample.  Sample i's node at depth d is found by relabelling
         ``node_{d-1}[i] * m + contexts[d-1][i]`` to 0..K-1, so codes stay
-        below len(x) * m at any depth.  The nodes and statistics equal those
-        of calling ``observe`` on each sample in turn.
+        below len(x) * m at any depth; the nodes of depth d are numbered
+        after those of depth d-1 in that order.  The nodes and statistics
+        equal those of calling ``observe`` on each sample in turn.
         """
         if self.num_obs:
             raise RuntimeError("observe_all needs a trie that has observed nothing")
@@ -234,10 +307,10 @@ class ContextTrie:
         if len(x) == 0:
             return
         m = self.m
-        inverse = np.zeros(len(x), dtype=np.intp)
-        (self.root.state,) = self.model.observe_batch(inverse, x, lags)
-        level = [self.root]
-        for column in contexts:
+        labels = np.zeros((self.depth + 1, len(x)), dtype=np.intp)  # row d: each sample's node id at depth d
+        parents, syms = [], []
+        inverse, first, size = labels[0], 0, 1  # depth d-1: each sample's label there, its first id, its nodes
+        for d, column in enumerate(contexts, 1):
             if column.min() < 0 or column.max() >= m:
                 raise ValueError(f"context symbol outside alphabet of size {m}")
             # np.unique(key, return_inverse=True) without its sort: keys < K * m.
@@ -246,14 +319,19 @@ class ContextTrie:
             relabel = np.empty(keys[-1] + 1, dtype=np.intp)
             relabel[keys] = np.arange(len(keys))
             inverse = relabel[key]
-            states = self.model.observe_batch(inverse, x, lags)
-            nodes = []
-            for parent, sym, state in zip((keys // m).tolist(), (keys % m).tolist(), states):
-                node = _Node(m, state)
-                level[parent].children[sym] = node
-                nodes.append(node)
-            self.num_nodes += len(nodes)
-            level = nodes
+            parents.append(first + keys // m)
+            syms.append(keys % m)
+            first += size
+            labels[d] = first + inverse
+            size = len(keys)
+        n = first + size
+        self._allocate(n)  # a fresh trie: only the root, without children, to keep
+        self._add_values(n - 1)
+        self.num_nodes = n
+        self._kids = None
+        if parents:
+            self._children[np.concatenate(parents), np.concatenate(syms)] = np.arange(1, n)
+        self.states = self.model.observe_batch(labels, x, lags)
         self.num_obs = len(x)
         self._swept = False
 
@@ -261,54 +339,64 @@ class ContextTrie:
 
     def full_sweep(self) -> None:
         """Recompute log_pe / log_pw / log_pm at every node, one depth at a time from the bottom."""
-        levels = [[self.root]]
+        levels = [np.zeros(1, dtype=np.intp)]  # the node ids of each depth
         while len(levels) <= self.depth:
-            level = [child for node in levels[-1] for child in node.children if child is not None]
-            if not level:
+            children = self._children[levels[-1]].ravel()
+            children = children[children >= 0]
+            if not children.size:
                 break
-            levels.append(level)
+            levels.append(children)
+        nodes, log_pe, absent = [], [], []
         for depth in range(len(levels) - 1, -1, -1):
-            self._score(levels[depth], [depth] * len(levels[depth]))
+            ids = levels[depth]
+            nodes += ids.tolist()
+            log_pe += self.model.log_pe(self.states.take(ids))
+            absent += [self._log_pm_absent[depth]] * len(ids)
+        self._combine_nodes(nodes, log_pe, absent)
         self._swept = True
         self._ever_swept = True
+        self._p_leaf = None
 
-    def _score(self, nodes: list[_Node], depths: list[int]) -> None:
-        """Score the nodes in one leaf call, then combine them in order (children before parents)."""
-        for node, depth, log_pe in zip(nodes, depths, self.model.log_pe([node.state for node in nodes])):
-            node.log_pe = log_pe
-            self._combine(node, depth)
-
-    def _combine(self, node: _Node, depth: int) -> None:
-        if depth == self.depth:
-            node.log_pw = node.log_pe
-            node.log_pm = node.log_pe
-            node.leaf_wins = True
-            return
-        sum_w = 0.0
-        sum_m = 0.0
-        missing = self._log_pm_missing[depth + 1]
-        for child in node.children:
-            if child is None:
-                sum_m += missing  # absent subtree: P_w = 1, P_m = prior of bare node
-            else:
-                sum_w += child.log_pw
-                sum_m += child.log_pm
-        split = node.log_pe + self._log_beta
-        node.log_pw = log_add(split, self._log_1mbeta + sum_w)
-        second = self._log_1mbeta + sum_m
-        node.leaf_wins = split >= second  # tie -> prune, prefer the smaller tree
-        node.log_pm = split if node.leaf_wins else second
-
-    def refresh_path(self, path: list[_Node]) -> None:
+    def refresh_path(self, path: list[int]) -> None:
         """Recompute the D+1 nodes of one path, as ``observe`` returned it (root first), bottom-up.
 
-        Identical to a full sweep when only that path's statistics changed.
-        Requires an initial full sweep so off-path quantities are current.
+        Identical to a full sweep when only that path's statistics changed:
+        the same combine, node by node.  Requires an initial full sweep so
+        off-path quantities are current.
         """
         if not self._ever_swept:
             raise RuntimeError("refresh_path needs an initial full_sweep()")
-        self._score(path[::-1], list(range(self.depth, -1, -1)))
+        log_pe = self.model.log_pe(self.states.take(path))
+        self._combine_nodes(reversed(path), reversed(log_pe), reversed(self._log_pm_absent))
         self._swept = True
+        self._p_leaf = None
+
+    def _combine_nodes(self, nodes, log_pe, absent) -> None:
+        """Store each node's log_pe and combine it with its children's values, in the order given.
+
+        The one combine of both sweeps.  A node's children come before it;
+        ``absent`` gives, per node, the ``_log_pm_absent`` of its depth.
+        """
+        pes, pws, pms, wins = self._log_pe, self._log_pw, self._log_pm, self._leaf_wins
+        kids, log_beta, log_1mbeta = self._children_lists(), self._log_beta, self._log_1mbeta
+        for node, pe, missing in zip(nodes, log_pe, absent):
+            pes[node] = pe
+            if missing is None:  # depth D: a leaf of every tree
+                pws[node] = pms[node] = pe
+                wins[node] = True
+                continue
+            sum_w = sum_m = 0.0
+            for child in kids[node]:
+                if child < 0:
+                    sum_m += missing  # P_w = 1 adds nothing; P_m is the prior of the bare node
+                else:
+                    sum_w += pws[child]
+                    sum_m += pms[child]
+            split = pe + log_beta
+            second = log_1mbeta + sum_m
+            pws[node] = log_add(split, log_1mbeta + sum_w)
+            wins[node] = win = split >= second  # tie -> prune, prefer the smaller tree
+            pms[node] = split if win else second
 
     def _require_swept(self):
         if not self._swept:
@@ -316,24 +404,40 @@ class ContextTrie:
 
     # -- queries ------------------------------------------------------------
 
+    def _children_lists(self) -> list[list[int]]:
+        if self._kids is None:
+            self._kids = self._children[: self.num_nodes].tolist()
+        return self._kids
+
+    @property
+    def root(self) -> _NodeView:
+        return _NodeView(self, 0)
+
     def log_evidence(self) -> float:
         """Log prior-predictive likelihood with trees and parameters integrated out."""
         self._require_swept()
-        return self.root.log_pw
+        return self._log_pw[0]
 
     def log_map_score(self) -> float:
         """Log of max over trees of prior(T) * marginal likelihood(T)."""
         self._require_swept()
-        return self.root.log_pm
+        return self._log_pm[0]
 
     def map_tree(self) -> TreeModel:
         """The tree attaining the maximising recursion, pruned top-down."""
         self._require_swept()
+        kids, wins = self._children_lists(), self._leaf_wins
         leaves: list[tuple[int, ...]] = []
-        self._extract(self.root, 0, (), leaves)
-        return TreeModel(self.m, tuple(leaves))
+        stack = [(0, ())]
+        while stack:
+            node, prefix = stack.pop()
+            if node < 0 or len(prefix) == self.depth or wins[node]:
+                leaves.append(prefix)
+            else:
+                stack.extend((kids[node][j], prefix + (j,)) for j in range(self.m - 1, -1, -1))
+        return TreeModel._proper(self.m, leaves)
 
-    def map_node(self, context: Sequence[int]) -> Optional[_Node]:
+    def map_node(self, context: Sequence[int]) -> Optional[_NodeView]:
         """The node of the MAP-tree leaf that prefixes a length-D context, in O(D).
 
         Walks from the root along the context and stops where ``map_tree``
@@ -343,30 +447,28 @@ class ContextTrie:
         self._require_swept()
         if len(context) != self.depth:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
-        node = self.root
+        kids, node = self._children_lists(), 0
         for sym in context:
-            if node.leaf_wins:
+            if self._leaf_wins[node]:
                 break
-            node = node.children[sym]
-            if node is None:
-                break
-        return node
-
-    def _extract(self, node: Optional[_Node], depth: int, prefix: tuple[int, ...], leaves):
-        if node is None or depth == self.depth or node.leaf_wins:
-            leaves.append(prefix)
-            return
-        for j in range(self.m):
-            self._extract(node.children[j], depth + 1, prefix + (j,), leaves)
-
-    def walk(self, context: tuple[int, ...]) -> Optional[_Node]:
-        """Node for an exact context, or None if never observed."""
-        node = self.root
-        for sym in context:
-            node = node.children[sym]
-            if node is None:
+            node = kids[node][sym]
+            if node < 0:
                 return None
+        return _NodeView(self, node)
+
+    def _find(self, context: Sequence[int]) -> int:
+        """The id of an exact context's node, or -1 if never observed."""
+        kids, node = self._children_lists(), 0
+        for sym in context:
+            node = kids[node][sym]
+            if node < 0:
+                break
         return node
+
+    def walk(self, context: tuple[int, ...]) -> Optional[_NodeView]:
+        """Node for an exact context, or None if never observed."""
+        node = self._find(context)
+        return None if node < 0 else _NodeView(self, node)
 
     def log_joint(self, tree: TreeModel) -> float:
         """log prior(T) + sum of leaf log_pe; unobserved leaves contribute 0."""
@@ -375,9 +477,9 @@ class ContextTrie:
             raise ValueError("alphabet size mismatch")
         total = log_prior(tree, self.beta, self.depth)
         for leaf in tree.leaves:
-            node = self.walk(leaf)
-            if node is not None:
-                total += node.log_pe
+            node = self._find(leaf)
+            if node >= 0:
+                total += self._log_pe[node]
         return total
 
     def posterior_of(self, tree: TreeModel) -> float:
@@ -390,34 +492,36 @@ class ContextTrie:
         Top-down branching: each examined node is made a leaf with
         probability beta * P_e / P_w (beta for contexts never observed,
         certainty at depth D), else all m children are examined in turn.
+        The per-node probabilities are computed once per sweep.
         """
         self._require_swept()
+        if self._p_leaf is None:
+            log_beta = self._log_beta
+            self._p_leaf = [exp(min(0.0, log_beta + pe - pw)) for pe, pw in zip(self._log_pe, self._log_pw)]
+        kids, p_leaf, beta = self._children_lists(), self._p_leaf, self.beta
+        unseen = [-1] * self.m
         leaves: list[tuple[int, ...]] = []
-        stack: list[tuple[Optional[_Node], int, tuple[int, ...]]] = [(self.root, 0, ())]
+        stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
         while stack:
             node, depth, prefix = stack.pop()
             if depth == self.depth:
                 leaves.append(prefix)
                 continue
-            if node is None:
-                p_leaf = self.beta
-            else:
-                p_leaf = exp(min(0.0, self._log_beta + node.log_pe - node.log_pw))
-            if rng.random() < p_leaf:
+            if rng.random() < (beta if node < 0 else p_leaf[node]):
                 leaves.append(prefix)
             else:
-                for j in range(self.m):
-                    child = node.children[j] if node is not None else None
+                for j, child in enumerate(unseen if node < 0 else kids[node]):
                     stack.append((child, depth + 1, prefix + (j,)))
-        return TreeModel(self.m, tuple(leaves))
+        return TreeModel._proper(self.m, leaves)
 
-    def nodes(self) -> Iterator[tuple[tuple[int, ...], _Node]]:
+    def nodes(self) -> Iterator[tuple[tuple[int, ...], _NodeView]]:
         """(context, node) pairs in depth-first order."""
-        stack: list[tuple[tuple[int, ...], _Node]] = [((), self.root)]
+        kids = self._children_lists()
+        stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
         while stack:
             prefix, node = stack.pop()
-            yield prefix, node
+            yield prefix, _NodeView(self, node)
             for j in range(self.m - 1, -1, -1):
-                child = node.children[j]
-                if child is not None:
+                child = kids[node][j]
+                if child >= 0:
                     stack.append((prefix + (j,), child))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from itertools import product
-from math import erf, log, sqrt
+from math import erf, log, log1p, sqrt
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from ctreemix import (
     ArHyperParams, ArModel, ArLeaf, ArSufficientStats, ArchModel, ArchNodeState, FittedModel, GenerativeSpec,
     Quantizer, TreeModel, generate,
 )
-from ctreemix._num import LOG_2PI
+from ctreemix._num import LOG_2PI, log_add
 from ctreemix.arch import ALPHA0_FLOOR, _DAMP, initial_theta
 from ctreemix.tree import log_prior
 
@@ -41,7 +41,7 @@ def enumerate_trees(m: int, depth: int) -> list[TreeModel]:
 def brute_force_leaf_stats(series, model, quantizer: Quantizer, depth: int, tree: TreeModel):
     """Recompute per-leaf statistics by direct context matching."""
     init_len = max(depth, model.order)
-    states = {leaf: model.new_state() for leaf in tree.leaves}
+    states = {leaf: model.new_states(1)[0] for leaf in tree.leaves}
     for i in range(init_len, len(series)):
         context = tuple(quantizer(series[i - 1 - d]) for d in range(depth))
         leaf = tree.state_of(context)
@@ -164,6 +164,39 @@ def trie_contents(trie) -> dict:
             out[context] = (st.count, st.s1, st.s2.tolist(), st.s3.tolist())
         else:
             out[context] = (st.xs.tolist(), st.zs.tolist())
+    return out
+
+
+def scalar_sweep(trie) -> dict[tuple[int, ...], tuple[float, float, float, bool]]:
+    """(log_pe, log_pw, log_pm, leaf_wins) of every context of a swept trie, one node at a time.
+
+    Each node's log_pe is its state scored alone; the combine is the
+    scalar recursion the library ran per node before its trie became
+    columnar: children in order 0..m-1 from 0.0, a never-observed child
+    adding nothing to the weighted sum and the prior of the bare node to
+    the maximised one, and log_add for the mixture.
+    """
+    nodes = dict(trie.nodes())
+    log_beta, log_1mbeta = log(trie.beta), log1p(-trie.beta)
+    out: dict[tuple[int, ...], tuple[float, float, float, bool]] = {}
+    for context in sorted(nodes, key=len, reverse=True):  # children before parents
+        log_pe = trie.model.log_pe([nodes[context].state])[0]
+        if len(context) == trie.depth:
+            out[context] = (log_pe, log_pe, log_pe, True)
+            continue
+        missing = log_beta if len(context) + 1 < trie.depth else 0.0
+        sum_w = sum_m = 0.0
+        for j in range(trie.m):
+            child = out.get(context + (j,))
+            if child is None:
+                sum_m += missing
+            else:
+                sum_w += child[1]
+                sum_m += child[2]
+        split = log_pe + log_beta
+        second = log_1mbeta + sum_m
+        leaf_wins = split >= second  # tie -> prune
+        out[context] = (log_pe, log_add(split, log_1mbeta + sum_w), split if leaf_wins else second, leaf_wins)
     return out
 
 

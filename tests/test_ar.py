@@ -173,7 +173,8 @@ class TestBatchKernel:
         # every node keeps the location and residual of a copy of its sums scored alone
         for _, node in fitted.trie.nodes():
             st = node.state
-            copy = ArSufficientStats.from_sums(st.count, st.s1, st.s2.copy(), st.s3.copy())
+            copy = ArSufficientStats(hp.dim)
+            copy.count, copy.s1, copy.s2, copy.s3 = st.count, st.s1, st.s2.copy(), st.s3.copy()
             log_pe_ar([copy], hp)
             assert st.loc is not None and st.loc.tobytes() == copy.loc.tobytes()
             assert type(st.resid) is float and st.resid == copy.resid
@@ -203,9 +204,23 @@ class TestBatchKernel:
         log_pe_ar([st], hp)
         assert post.mean.tolist() == st.loc.tolist() and post.ig_scale == hp.lam + 0.5 * st.resid
 
+    def test_kept_posterior_is_read_only(self):
+        # a state keeps a row of the scored stack: an edit through the posterior must not reach it
+        hp = ArHyperParams(order=2)
+        states = [ArSufficientStats(hp.dim) for _ in range(2)]
+        for st, x in zip(states, (0.5, -0.3)):
+            ArModel(hp).observe([st], x, (1.0, -1.0))
+        log_pe_ar(states, hp)
+        for st in states + [ArSufficientStats(hp.dim)]:
+            post = posterior_ar(st, hp)
+            kept = post.mean.tolist()
+            with pytest.raises(ValueError):
+                post.mean[0] = 7.0
+            assert posterior_ar(st, hp).mean.tolist() == kept
+
     def test_never_scored_state_is_solved(self):
         hp = ArHyperParams(order=3, intercept=True, tau=2.0, lam=0.5)
-        post = posterior_ar(ArModel(hp).new_state(), hp)
+        post = posterior_ar(ArSufficientStats(hp.dim), hp)
         assert post.mean.tolist() == [0.0] * 4  # the prior mode
         assert post.ig_shape == 2.0 and post.ig_scale == 0.5
 

@@ -335,6 +335,29 @@ class TestSplit:
             self.train_len(100, test_last=100)
 
 
+@pytest.mark.parametrize("split", ["1.9", "300.5"])
+def test_forecast_rejects_a_fractional_split_count(tmp_path, capsys, split):
+    data = simulate_csv(tmp_path, n=600, seed=9)
+    out = tmp_path / "report.json"
+    assert run(["forecast", str(data), "--thresholds", "0", "--order", "2", "--split", split, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--split {split}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--test-last", "0"], ["--split", "LEN"]], ids=["test-last-0", "split-all"])
+def test_fit_may_train_on_the_whole_series(tmp_path, flags):
+    data = simulate_csv(tmp_path, n=300, seed=9)
+    n = len(sio.ingest_csv(str(data)))
+    whole, split = tmp_path / "whole.json", tmp_path / "split.json"
+    base = ["fit", str(data), "--thresholds", "0", "--order", "2", "--depth", "4"]
+    assert run(base + ["-o", str(whole)]) == 0
+    assert run(base + [f.replace("LEN", str(n)) for f in flags] + ["-o", str(split)]) == 0
+    assert split.read_text() == whole.read_text()
+    assert json.loads(split.read_text())["n_scored"] == n - 4
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     lines = [

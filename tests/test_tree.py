@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
-from ctreemix import ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series, generate
+from ctreemix import (
+    ArchConfig, ArchModel, ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series, generate,
+)
 from ctreemix.tree import ContextTrie, default_beta, log_prior
 
 from helpers import (
@@ -16,6 +19,7 @@ from helpers import (
     brute_force_log_joint,
     enumerate_trees,
     random_mixture_series,
+    scalar_sweep,
     small_ar_model,
 )
 
@@ -130,8 +134,12 @@ class TestMapTree:
         series = generate(builtin_specs()["sim_2"].spec, 100, seed=0)
         f = fit_series(series, small_ar_model(2), Quantizer((-0.5, 0.5)), depth)
         tree = f.map_tree()
+
+        def node_id(node):  # handles are made per call: compare what they point at
+            return None if node is None else node.id
+
         for context in itertools.product(range(3), repeat=depth):
-            assert f.trie.map_node(context) is f.trie.walk(tree.state_of(context))
+            assert node_id(f.trie.map_node(context)) == node_id(f.trie.walk(tree.state_of(context)))
         with pytest.raises(ValueError):
             f.trie.map_node((0,) * (depth + 1))
 
@@ -240,3 +248,66 @@ class TestSequentialUpdates:
         for ctx, expected in counts.items():
             node = f.trie.walk(ctx)
             assert node is not None and node.state.count == expected
+
+
+class TestSweepOracle:
+    """Every node's sweep values equal, bit for bit, the scalar recursion run one node at a time."""
+
+    THRESHOLDS = {2: (0.0,), 3: (-0.3, 0.3)}
+
+    @staticmethod
+    def assert_matches_scalar_sweep(trie):
+        def bits(values):
+            return [struct.pack("<d", v) for v in values[:3]] + [values[3]]
+
+        expected = scalar_sweep(trie)
+        got = {context: (node.log_pe, node.log_pw, node.log_pm, node.leaf_wins) for context, node in trie.nodes()}
+        assert set(got) == set(expected)
+        for context, values in expected.items():
+            assert bits(got[context]) == bits(values), context
+        assert trie.log_evidence() == expected[()][1] and trie.log_map_score() == expected[()][2]
+
+    @staticmethod
+    def model(leaf):
+        if leaf == "arch":
+            return ArchModel(ArchConfig(order=2))
+        return ArModel(ArHyperParams(order=2, intercept=leaf == "ar-intercept"))
+
+    def series(self, leaf, n, seed):
+        return generate(builtin_specs()["arch_sim" if leaf == "arch" else "sim_2"].spec, n, seed=seed)
+
+    @pytest.mark.parametrize("leaf", ["ar", "ar-intercept", "arch"])
+    @pytest.mark.parametrize("depth", [0, 1, 3, 10])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_batch_fit(self, m, depth, leaf):
+        series = self.series(leaf, 150 if leaf == "arch" else 400, seed=depth + m)
+        f = fit_series(series, self.model(leaf), Quantizer(self.THRESHOLDS[m]), depth)
+        assert f.trie.num_nodes > (1 if depth else 0)
+        self.assert_matches_scalar_sweep(f.trie)
+
+    @pytest.mark.parametrize("leaf", ["ar", "ar-intercept", "arch"])
+    def test_online_updates_that_add_nodes(self, leaf):
+        depth, m = 4, 3
+        series = self.series(leaf, 400, seed=11)
+        f = fit_series(series[:20], self.model(leaf), Quantizer(self.THRESHOLDS[m]), depth)
+        before = {context for context, _ in f.trie.nodes()}
+        for x in series[20:]:
+            f.update(x)
+        after = {context for context, _ in f.trie.nodes()}
+        assert {len(context) for context in after - before} >= {2, 3, 4}  # new nodes at several depths
+        assert any(context + (j,) not in after for context in after if len(context) < depth for j in range(m))
+        self.assert_matches_scalar_sweep(f.trie)
+
+
+class TestTreesFromTheTrie:
+    """Trees built from the trie without validation equal those the validating constructor builds."""
+
+    def test_map_tree_and_draws_are_proper(self):
+        series = generate(builtin_specs()["sim_2"].spec, 300, seed=4)
+        f = fit_series(series, small_ar_model(1), Quantizer((-0.3, 0.3)), 4)
+        rng = np.random.default_rng(1)
+        trees = [f.map_tree()] + [f.trie.sample_tree(rng) for _ in range(300)]
+        assert len(set(trees)) > 10  # a spread posterior: many distinct trees drawn
+        for tree in trees:
+            checked = TreeModel(tree.m, tree.leaves)
+            assert tree == checked and hash(tree) == hash(checked) and tree.leaves == checked.leaves
