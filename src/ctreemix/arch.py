@@ -377,17 +377,17 @@ class ArchModel:
         root_state: Optional[ArchNodeState] = None,
     ) -> tuple[float, float]:
         """Zero-mean Gaussian predictive with plug-in variance theta' z at the MAP coefficients."""
-        theta = self.map_params(state)
-        if theta is None:
-            theta = self.map_params(root_state)  # pooled fallback
+        theta = self._params_or_pooled(state, root_state)
         if theta is None:
             raise RuntimeError("no fitted coefficients available for prediction")
         return 0.0, float(np.dot(theta, self.design(lags)))
 
     def leaf_param_doc(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState] = None) -> dict:
         """The leaf's coefficients and count; a leaf without data shows the pooled root fit with count 0."""
+        theta = self._params_or_pooled(state, root_state)
+        return {"alpha": None if theta is None else theta.tolist(), "count": 0 if state is None else state.count}
+
+    def _params_or_pooled(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState]):
+        """The state's MAP coefficients, else (a leaf without data) the pooled root fit's, else None."""
         theta = self.map_params(state)
-        count = 0 if state is None else state.count
-        if theta is None:
-            theta = self.map_params(root_state)  # pooled fallback, as in predict_from_state
-        return {"alpha": None if theta is None else [float(v) for v in theta], "count": count}
+        return self.map_params(root_state) if theta is None else theta

@@ -88,14 +88,24 @@ def _model_flags_given(args) -> list[str]:
     return ["--" + name.replace("_", "-") for name, value in defaults.items() if getattr(args, name) != value]
 
 
-def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
-    """Thresholds/order from flags, running the evidence grid search if either is open."""
+def _check_train_len(train_len: int, depth: int, orders) -> None:
+    """Reject a training prefix shorter than the initial segment, max(depth, largest order)."""
+    if train_len < max(depth, *orders):
+        raise ValueError(f"--split/--test-last leaves {train_len} training samples, fewer than the initial "
+                         f"segment of {max(depth, *orders)} (max of depth and largest order)")
+
+
+def _resolve_config(args, train, split: bool) -> tuple[RunConfig, Optional[list]]:
+    """Thresholds/order from flags, running the evidence grid search if either is open.  With split,
+    train is the prefix --split/--test-last cut, which must hold the initial segment."""
     if args.thresholds is not None and args.auto_thresholds:
         raise ValueError("--thresholds and --auto-thresholds are mutually exclusive")
     if args.thresholds is None and not args.auto_thresholds:
         raise ValueError("give --thresholds or --auto-thresholds")
     grid = _grid(args, train)
     cfg = _config(args, grid)
+    if split:
+        _check_train_len(len(train), cfg.depth, grid.orders)
     if args.thresholds is not None and args.order is not None:
         return cfg, None
     result = select_hyperparams(train, grid, cfg.make_model, cfg.depth, cfg.beta)
@@ -136,11 +146,9 @@ def _train_len(args, n: int, need_test: bool = True) -> int:
 
 def cmd_fit(args) -> int:
     series, tspec = _load_series(args)
-    if args.split is not None or args.test_last is not None:
-        train = series[: _train_len(args, len(series), need_test=False)]
-    else:
-        train = series
-    cfg, table = _resolve_config(args, train)
+    split = args.split is not None or args.test_last is not None
+    train = series[: _train_len(args, len(series), need_test=False)] if split else series
+    cfg, table = _resolve_config(args, train, split)
     fitted = fit_series(train, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     doc = sio.model_document(fitted, cfg, transform=tspec, seed=args.seed, selection_table=table)
     _emit(sio.dumps_canonical(doc), args.output)
@@ -157,8 +165,9 @@ def cmd_forecast(args) -> int:
                              "which takes the model from its document")
         with open(args.from_model) as fh:
             cfg = RunConfig.from_document(json.loads(fh.read()))
+        _check_train_len(train_len, cfg.depth, (cfg.order,))
     else:
-        cfg, _ = _resolve_config(args, series[:train_len])
+        cfg, _ = _resolve_config(args, series[:train_len], split=True)
     report = rolling_forecast(series, cfg, train_len=train_len)
     _emit(sio.dumps_canonical(sio.report_to_doc(report, seed=args.seed, transform=tspec)), args.output)
     if args.records:
@@ -192,7 +201,7 @@ def cmd_sample_trees(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     series, tspec = _load_series(args)
-    cfg, _ = _resolve_config(args, series)
+    cfg, _ = _resolve_config(args, series, split=False)
     fitted = fit_series(series, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     rng = np.random.default_rng(args.seed)
     counts = Counter(fitted.trie.sample_tree(rng) for _ in range(args.count))

@@ -94,15 +94,19 @@ def select_hyperparams(
     """Fit every grid candidate on the training series and keep the argmax.
 
     `model_factory(order)` must return a fresh leaf model of that order.
+    Every cell scores the samples after the first init = max(depth, largest
+    order), at most len(train): order p's fit skips init - max(depth, p).
     Candidates that fail numerically are recorded with -inf evidence; if all
     fail a RuntimeError is raised.
     """
     cells: list[EvidenceCell] = []
     best: Optional[EvidenceCell] = None
+    init = min(max(depth, *grid.orders), len(train))
     for order in sorted(grid.orders):
+        series = train[max(0, init - max(depth, order)):]
         for thr in sorted(grid.thresholds):
             try:
-                fitted = fit_series(train, model_factory(order), Quantizer(thr), depth, beta)
+                fitted = fit_series(series, model_factory(order), Quantizer(thr), depth, beta)
                 cell = EvidenceCell(thr, order, fitted.log_evidence())
             except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
                 cell = EvidenceCell(thr, order, float("-inf"), error=str(exc))

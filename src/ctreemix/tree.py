@@ -1,11 +1,12 @@
 """Context-tree trie with exact evidence, MAP-tree and posterior-sampling sweeps.
 
 The trie holds every observed context of length 0..D, one node per context,
-numbered 0 (the root), 1, 2, ... in the order the nodes are made.  Its
-arrays are indexed by that id: the children (N, m), -1 for a context never
-observed, and the sweep values below.  The per-node sufficient statistics
-live in a store owned by the leaf model, indexed by the same ids.  A leaf
-model is any object providing::
+numbered 0 (the root), 1, 2, ... in the order the nodes are made.  Node i's
+children are the Python list ``_kids[i]`` of m ids, -1 for a context never
+observed, and the ids of each depth are recorded as their nodes are made;
+the sweep values below are lists indexed by id.  The per-node sufficient
+statistics live in a store owned by the leaf model, indexed by the same
+ids.  A leaf model is any object providing::
 
     order          -> int, number of raw lag values consumed per observation
     new_states(k)  -> a store of k nodes without data; a store supports
@@ -27,6 +28,14 @@ model is any object providing::
                    -> update the sweeps after the ``step``-th online sample
                       was observed along ``path`` (the root-first node ids
                       ``observe`` returned), e.g. by ``trie.refresh_path(path)``
+    predict_from_state(state, lags, root_state)
+                   -> for ``FittedModel``, the one-step predictive (mean,
+                      variance) at the MAP parameters of ``state``
+    leaf_param_doc(state, root_state)
+                   -> for ``FittedModel``, one leaf's parameter document
+
+In the last two, ``state`` is None for a context never observed: ARCH leaves
+then fall back to the pooled fit of ``root_state``, AR leaves use their prior.
 
 Three quantities are maintained per node, all in natural-log domain:
 
@@ -230,24 +239,19 @@ class ContextTrie:
         self._log_pm_absent = [self._log_beta] * (depth - 1) + [0.0, None] if depth else [None]
         self.states = leaf_model.new_states(1)
         self.num_obs = 0
-        self.num_nodes = 1  # the root
-        self._children = np.full((1, m), -1, dtype=np.intp)
+        self._kids = [[-1] * m]  # each node's children: Python lists, which the walks and the combine index
+        self._levels = [[0]] + [[] for _ in range(depth)]  # the node ids of each depth, in the order made
         # The sweep values per node: Python lists, which the per-node combine
         # and the queries read and write at a fraction of numpy's cost per call.
         self._log_pe, self._log_pw, self._log_pm, self._leaf_wins = [], [], [], []
         self._add_values(1)
-        self._kids = None  # the children as lists, for the walks in Python; made on demand
         self._p_leaf = None  # sample_tree's leaf probabilities, made on demand after each sweep
         self._swept = False
         self._ever_swept = False
 
-    # -- node arrays --------------------------------------------------------
-
-    def _allocate(self, capacity: int) -> None:
-        """The children array for `capacity` nodes, keeping the current ones."""
-        children = np.full((capacity, self.m), -1, dtype=np.intp)
-        children[: self.num_nodes] = self._children[: self.num_nodes]
-        self._children = children
+    @property
+    def num_nodes(self) -> int:
+        return len(self._kids)
 
     def _add_values(self, k: int) -> None:
         """Sweep values for k more nodes, until a sweep or refresh sets them."""
@@ -262,7 +266,7 @@ class ContextTrie:
         """Route one sample through its context path; returns the path's node ids, root first."""
         if len(context) != self.depth:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
-        kids = self._children_lists()
+        kids = self._kids
         path = [0]
         for sym in context:
             child = kids[path[-1]][sym]
@@ -271,19 +275,13 @@ class ContextTrie:
             path.append(child)
         have = len(path)
         if have <= self.depth:  # the deeper contexts are new: number them at the end
-            first, k = self.num_nodes, self.depth + 1 - have
-            if first + k > len(self._children):
-                self._allocate(max(first + k, 2 * len(self._children)))
-            new = list(range(first, first + k))
-            parents, syms = [path[-1]] + new[:-1], context[have - 1:]
-            self._children[parents, syms] = new
-            kids.extend([-1] * self.m for _ in new)
-            for parent, sym, child in zip(parents, syms, new):
-                kids[parent][sym] = child
-            self.states.extend(self.model.new_states(k))
-            self._add_values(k)
-            self.num_nodes += k
-            path += new
+            for d, sym in enumerate(context[have - 1:], have):
+                kids[path[-1]][sym] = len(kids)
+                path.append(len(kids))
+                kids.append([-1] * self.m)
+                self._levels[d].append(path[-1])
+            self.states.extend(self.model.new_states(len(path) - have))
+            self._add_values(len(path) - have)
         self.model.observe(self.states.take(path), x, lags)
         self.num_obs += 1
         self._swept = False
@@ -297,8 +295,9 @@ class ContextTrie:
         sample.  Sample i's node at depth d is found by relabelling
         ``node_{d-1}[i] * m + contexts[d-1][i]`` to 0..K-1, so codes stay
         below len(x) * m at any depth; the nodes of depth d are numbered
-        after those of depth d-1 in that order.  The nodes and statistics
-        equal those of calling ``observe`` on each sample in turn.
+        after those of depth d-1 in that order, one contiguous run per
+        depth.  The nodes and statistics equal those of calling
+        ``observe`` on each sample in turn.
         """
         if self.num_obs:
             raise RuntimeError("observe_all needs a trie that has observed nothing")
@@ -308,8 +307,8 @@ class ContextTrie:
             return
         m = self.m
         labels = np.zeros((self.depth + 1, len(x)), dtype=np.intp)  # row d: each sample's node id at depth d
-        parents, syms = [], []
-        inverse, first, size = labels[0], 0, 1  # depth d-1: each sample's label there, its first id, its nodes
+        parents, syms, levels = [], [], [[0]]  # levels: each depth's node ids, one contiguous run
+        inverse = labels[0]  # each sample's label at depth d-1
         for d, column in enumerate(contexts, 1):
             if column.min() < 0 or column.max() >= m:
                 raise ValueError(f"context symbol outside alphabet of size {m}")
@@ -319,18 +318,17 @@ class ContextTrie:
             relabel = np.empty(keys[-1] + 1, dtype=np.intp)
             relabel[keys] = np.arange(len(keys))
             inverse = relabel[key]
-            parents.append(first + keys // m)
+            parents.append(levels[-1][0] + keys // m)
             syms.append(keys % m)
-            first += size
+            first = levels[-1][-1] + 1
             labels[d] = first + inverse
-            size = len(keys)
-        n = first + size
-        self._allocate(n)  # a fresh trie: only the root, without children, to keep
-        self._add_values(n - 1)
-        self.num_nodes = n
-        self._kids = None
+            levels.append(list(range(first, first + len(keys))))
+        n = levels[-1][-1] + 1
+        children = np.full((n, m), -1, dtype=np.intp)
         if parents:
-            self._children[np.concatenate(parents), np.concatenate(syms)] = np.arange(1, n)
+            children[np.concatenate(parents), np.concatenate(syms)] = np.arange(1, n)
+        self._kids, self._levels = children.tolist(), levels
+        self._add_values(n - 1)
         self.states = self.model.observe_batch(labels, x, lags)
         self.num_obs = len(x)
         self._swept = False
@@ -339,19 +337,12 @@ class ContextTrie:
 
     def full_sweep(self) -> None:
         """Recompute log_pe / log_pw / log_pm at every node, one depth at a time from the bottom."""
-        levels = [np.zeros(1, dtype=np.intp)]  # the node ids of each depth
-        while len(levels) <= self.depth:
-            children = self._children[levels[-1]].ravel()
-            children = children[children >= 0]
-            if not children.size:
-                break
-            levels.append(children)
         nodes, log_pe, absent = [], [], []
-        for depth in range(len(levels) - 1, -1, -1):
-            ids = levels[depth]
-            nodes += ids.tolist()
-            log_pe += self.model.log_pe(self.states.take(ids))
-            absent += [self._log_pm_absent[depth]] * len(ids)
+        for depth, ids in reversed([*enumerate(self._levels)]):
+            if ids:  # else no context this long was observed
+                nodes += ids
+                log_pe += self.model.log_pe(self.states.take(ids))
+                absent += [self._log_pm_absent[depth]] * len(ids)
         self._combine_nodes(nodes, log_pe, absent)
         self._swept = True
         self._ever_swept = True
@@ -378,7 +369,7 @@ class ContextTrie:
         ``absent`` gives, per node, the ``_log_pm_absent`` of its depth.
         """
         pes, pws, pms, wins = self._log_pe, self._log_pw, self._log_pm, self._leaf_wins
-        kids, log_beta, log_1mbeta = self._children_lists(), self._log_beta, self._log_1mbeta
+        kids, log_beta, log_1mbeta = self._kids, self._log_beta, self._log_1mbeta
         for node, pe, missing in zip(nodes, log_pe, absent):
             pes[node] = pe
             if missing is None:  # depth D: a leaf of every tree
@@ -404,11 +395,6 @@ class ContextTrie:
 
     # -- queries ------------------------------------------------------------
 
-    def _children_lists(self) -> list[list[int]]:
-        if self._kids is None:
-            self._kids = self._children[: self.num_nodes].tolist()
-        return self._kids
-
     @property
     def root(self) -> _NodeView:
         return _NodeView(self, 0)
@@ -426,7 +412,7 @@ class ContextTrie:
     def map_tree(self) -> TreeModel:
         """The tree attaining the maximising recursion, pruned top-down."""
         self._require_swept()
-        kids, wins = self._children_lists(), self._leaf_wins
+        kids, wins = self._kids, self._leaf_wins
         leaves: list[tuple[int, ...]] = []
         stack = [(0, ())]
         while stack:
@@ -447,7 +433,7 @@ class ContextTrie:
         self._require_swept()
         if len(context) != self.depth:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
-        kids, node = self._children_lists(), 0
+        kids, node = self._kids, 0
         for sym in context:
             if self._leaf_wins[node]:
                 break
@@ -458,7 +444,7 @@ class ContextTrie:
 
     def _find(self, context: Sequence[int]) -> int:
         """The id of an exact context's node, or -1 if never observed."""
-        kids, node = self._children_lists(), 0
+        kids, node = self._kids, 0
         for sym in context:
             node = kids[node][sym]
             if node < 0:
@@ -498,7 +484,7 @@ class ContextTrie:
         if self._p_leaf is None:
             log_beta = self._log_beta
             self._p_leaf = [exp(min(0.0, log_beta + pe - pw)) for pe, pw in zip(self._log_pe, self._log_pw)]
-        kids, p_leaf, beta = self._children_lists(), self._p_leaf, self.beta
+        kids, p_leaf, beta = self._kids, self._p_leaf, self.beta
         unseen = [-1] * self.m
         leaves: list[tuple[int, ...]] = []
         stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
@@ -516,7 +502,7 @@ class ContextTrie:
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], _NodeView]]:
         """(context, node) pairs in depth-first order."""
-        kids = self._children_lists()
+        kids = self._kids
         stack: list[tuple[tuple[int, ...], int]] = [((), 0)]
         while stack:
             prefix, node = stack.pop()

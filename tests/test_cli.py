@@ -382,3 +382,18 @@ def test_module_entry_point_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "ctreemix", "--help"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "evidence-grid" in proc.stdout
+
+
+@pytest.mark.parametrize("command, flags, train, need", [
+    ("fit", ["--thresholds", "0", "--order", "2", "--split", "3"], 3, 10),
+    ("forecast", ["--thresholds", "0", "--order", "2", "--split", "5"], 5, 10),
+    ("forecast", ["--thresholds", "0", "--depth", "2", "--max-order", "4", "--test-last", "N-3"], 3, 4),
+], ids=["fit-split", "forecast-split", "forecast-test-last-grid"])
+def test_training_prefix_shorter_than_the_initial_segment(tmp_path, capsys, command, flags, train, need):
+    data = simulate_csv(tmp_path, n=600, seed=1)
+    n = len(sio.ingest_csv(str(data)))
+    flags = [str(n - 3) if f == "N-3" else f for f in flags]
+    assert run([command, str(data), *flags, "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --split/--test-last leaves ") and err.count("\n") == 1
+    assert f"leaves {train} training samples" in err and f"initial segment of {need}" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctreemix import builtin_specs, generate
+from ctreemix import Quantizer, builtin_specs, fit_series, generate
 from ctreemix.forecasting import RunConfig
 from ctreemix.selection import (
     SelectionGrid,
@@ -106,3 +106,27 @@ def test_grid_validation():
         SelectionGrid(orders=(), thresholds=((0.0,),))
     with pytest.raises(ValueError):
         SelectionGrid(orders=(1,), thresholds=((0.3, 0.1),))
+
+
+def test_every_cell_scores_the_same_samples():
+    # depth 1 < largest order 5: each order's fit starts where its initial segment ends at max order's
+    spec = builtin_specs()["sim_2"].spec
+    series = generate(spec, 600, seed=9) * 5
+    thresholds = tuple(5 * t for t in spec.quantizer.thresholds)
+    grid = SelectionGrid(orders=(1, 2, 3, 4, 5), thresholds=(thresholds,))
+    make = RunConfig(kind="ar", thresholds=thresholds, order=1, depth=1).make_model
+    res = select_hyperparams(series, grid, make, depth=1)
+    assert res.order == 2  # scored from each order's own init, order 3 won
+    for cell in res.table:
+        fitted = fit_series(series[5 - max(1, cell.order):], make(cell.order), Quantizer(thresholds), 1)
+        assert fitted.num_scored == len(series) - 5
+        assert cell.log_evidence == fitted.log_evidence()
+
+
+def test_an_order_longer_than_the_series_fails_alone():
+    series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:8]
+    res = select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
+    cells = {cell.order: cell for cell in res.table}
+    scored_after_init = fit_series(series[6:], ar_factory()(1), Quantizer((0.0,)), 2)  # init min(9, 8): none scored
+    assert cells[1].error is None and cells[1].log_evidence == scored_after_init.log_evidence()
+    assert "shorter than the initial segment of 9" in cells[9].error

@@ -11,6 +11,7 @@ import pytest
 from ctreemix import (
     ArchConfig, ArchModel, ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series, generate,
 )
+from ctreemix.arch import FULL_REFRESH_EVERY
 from ctreemix.tree import ContextTrie, default_beta, log_prior
 
 from helpers import (
@@ -287,8 +288,10 @@ class TestSweepOracle:
 
     @pytest.mark.parametrize("leaf", ["ar", "ar-intercept", "arch"])
     def test_online_updates_that_add_nodes(self, leaf):
-        depth, m = 4, 3
-        series = self.series(leaf, 400, seed=11)
+        # ARCH refits every node cold on its last step, a full refresh: a node
+        # missing from the trie's levels then keeps its stale warm value.
+        depth, m, steps = 4, 3, 8 * FULL_REFRESH_EVERY
+        series = self.series(leaf, 20 + steps, seed=11)
         f = fit_series(series[:20], self.model(leaf), Quantizer(self.THRESHOLDS[m]), depth)
         before = {context for context, _ in f.trie.nodes()}
         for x in series[20:]:
