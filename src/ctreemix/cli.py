@@ -242,6 +242,8 @@ def parse_generative_spec(doc: dict) -> GenerativeSpec:
     if not isinstance(doc, dict):
         raise ValueError("spec document is not a JSON object")
     kind = _doc_field(doc, "kind", (str,), name="spec")
+    if kind not in ("ar", "arch"):
+        raise ValueError(f"spec field 'kind' is malformed: {kind!r}")
     thresholds = tuple(float(v) for v in _doc_field(doc, "thresholds", (list,), _NUMBER, "spec"))
     leaves = {}
     for k, entry in enumerate(_doc_field(doc, "leaves", (list,), name="spec")):

@@ -96,9 +96,15 @@ def select_hyperparams(
     `model_factory(order)` must return a fresh leaf model of that order.
     Every cell scores the samples after the first init = max(depth, largest
     order), at most len(train): order p's fit skips init - max(depth, p).
-    Candidates that fail numerically are recorded with -inf evidence; if all
-    fail a RuntimeError is raised.
+    A series shorter than every candidate's initial segment, max(depth,
+    smallest order), raises one ValueError before any fit.  Candidates that
+    fail numerically are recorded with -inf evidence; if all fail a
+    RuntimeError is raised.
     """
+    shortest = max(depth, min(grid.orders))
+    if len(train) < shortest:
+        raise ValueError(f"series of length {len(train)} is shorter than the initial segment of {shortest} "
+                         "samples that every grid candidate needs (max of depth and smallest order)")
     cells: list[EvidenceCell] = []
     best: Optional[EvidenceCell] = None
     init = min(max(depth, *grid.orders), len(train))

@@ -60,15 +60,17 @@ the node is pruned, preferring the smaller tree.
 
 Both sweeps run one combine on Python floats: the children are summed in
 child order 0..m-1 from 0.0 and exp and log1p are ``math`` calls.
-``full_sweep`` runs it over every node, the deepest first, and
-``refresh_path`` over the D+1 nodes of one path, so an online step
-reproduces a cold refit bit for bit.
+``full_sweep`` combines each depth right after scoring it, the deepest
+first, and ``refresh_path`` the D+1 nodes of one path, so an online step
+reproduces a cold refit bit for bit.  The MAP tree and the posterior draws
+come from one top-down grower (``_grow``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from math import exp, log, log1p
 from typing import Iterator, Optional, Sequence
 
@@ -337,13 +339,9 @@ class ContextTrie:
 
     def full_sweep(self) -> None:
         """Recompute log_pe / log_pw / log_pm at every node, one depth at a time from the bottom."""
-        nodes, log_pe, absent = [], [], []
         for depth, ids in reversed([*enumerate(self._levels)]):
             if ids:  # else no context this long was observed
-                nodes += ids
-                log_pe += self.model.log_pe(self.states.take(ids))
-                absent += [self._log_pm_absent[depth]] * len(ids)
-        self._combine_nodes(nodes, log_pe, absent)
+                self._combine_nodes(ids, self.model.log_pe(self.states.take(ids)), repeat(self._log_pm_absent[depth]))
         self._swept = True
         self._ever_swept = True
         self._p_leaf = None
@@ -410,18 +408,9 @@ class ContextTrie:
         return self._log_pm[0]
 
     def map_tree(self) -> TreeModel:
-        """The tree attaining the maximising recursion, pruned top-down."""
+        """The tree attaining the maximising recursion: the draw in which every choice is certain."""
         self._require_swept()
-        kids, wins = self._kids, self._leaf_wins
-        leaves: list[tuple[int, ...]] = []
-        stack = [(0, ())]
-        while stack:
-            node, prefix = stack.pop()
-            if node < 0 or len(prefix) == self.depth or wins[node]:
-                leaves.append(prefix)
-            else:
-                stack.extend((kids[node][j], prefix + (j,)) for j in range(self.m - 1, -1, -1))
-        return TreeModel._proper(self.m, leaves)
+        return self._grow(self._leaf_wins, 1, lambda: 0)
 
     def map_node(self, context: Sequence[int]) -> Optional[_NodeView]:
         """The node of the MAP-tree leaf that prefixes a length-D context, in O(D).
@@ -456,44 +445,41 @@ class ContextTrie:
         node = self._find(context)
         return None if node < 0 else _NodeView(self, node)
 
-    def log_joint(self, tree: TreeModel) -> float:
-        """log prior(T) + sum of leaf log_pe; unobserved leaves contribute 0."""
+    def posterior_of(self, tree: TreeModel) -> float:
+        """Exact posterior probability of one tree; a leaf at a context never observed has P_e = 1."""
         self._require_swept()
         if tree.m != self.m:
             raise ValueError("alphabet size mismatch")
-        total = log_prior(tree, self.beta, self.depth)
+        log_joint = log_prior(tree, self.beta, self.depth)
         for leaf in tree.leaves:
             node = self._find(leaf)
             if node >= 0:
-                total += self._log_pe[node]
-        return total
-
-    def posterior_of(self, tree: TreeModel) -> float:
-        """Exact posterior probability of one tree."""
-        return exp(self.log_joint(tree) - self.log_evidence())
+                log_joint += self._log_pe[node]
+        return exp(log_joint - self._log_pw[0])
 
     def sample_tree(self, rng) -> TreeModel:
-        """One exact draw from the posterior over trees.
-
-        Top-down branching: each examined node is made a leaf with
-        probability beta * P_e / P_w (beta for contexts never observed,
-        certainty at depth D), else all m children are examined in turn.
-        The per-node probabilities are computed once per sweep.
-        """
+        """One exact draw from the posterior over trees: each examined node is a leaf with probability
+        beta * P_e / P_w (beta if never observed), computed once per sweep, else opens all m children."""
         self._require_swept()
         if self._p_leaf is None:
             log_beta = self._log_beta
             self._p_leaf = [exp(min(0.0, log_beta + pe - pw)) for pe, pw in zip(self._log_pe, self._log_pw)]
-        kids, p_leaf, beta = self._kids, self._p_leaf, self.beta
+        return self._grow(self._p_leaf, self.beta, rng.random)
+
+    def _grow(self, p_leaf, p_unseen, draw) -> TreeModel:
+        """The top-down pass of ``map_tree`` and ``sample_tree``: a node below depth D is a leaf when
+        ``draw() < p_leaf[node]`` (``p_unseen`` if never observed), else its children 0..m-1 are
+        pushed, so the last is examined first."""
+        kids, max_depth = self._kids, self.depth
         unseen = [-1] * self.m
         leaves: list[tuple[int, ...]] = []
         stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
         while stack:
             node, depth, prefix = stack.pop()
-            if depth == self.depth:
+            if depth == max_depth:
                 leaves.append(prefix)
                 continue
-            if rng.random() < (beta if node < 0 else p_leaf[node]):
+            if draw() < (p_unseen if node < 0 else p_leaf[node]):
                 leaves.append(prefix)
             else:
                 for j, child in enumerate(unseen if node < 0 else kids[node]):

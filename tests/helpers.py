@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from itertools import product
-from math import erf, log, log1p, sqrt
+from math import erf, exp, log, log1p, sqrt
 
 import numpy as np
 
@@ -198,6 +198,32 @@ def scalar_sweep(trie) -> dict[tuple[int, ...], tuple[float, float, float, bool]
         leaf_wins = split >= second  # tie -> prune
         out[context] = (log_pe, log_add(split, log_1mbeta + sum_w), split if leaf_wins else second, leaf_wins)
     return out
+
+
+def reference_sample_tree(trie, rng) -> TreeModel:
+    """One posterior draw by the top-down loop the trie's sampler ran before it shared one grower.
+
+    Each examined context below depth D is a leaf when one ``rng.random()``
+    falls below beta * P_e / P_w (beta for a context never observed), the
+    node values read through ``walk``; else its children 0..m-1 are pushed,
+    so the last is examined first.  Equal generator states give equal draws.
+    """
+    log_beta = log(trie.beta)
+    leaves: list[tuple[int, ...]] = []
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        if len(prefix) == trie.depth:
+            leaves.append(prefix)
+            continue
+        node = trie.walk(prefix)
+        p_leaf = trie.beta if node is None else exp(min(0.0, log_beta + node.log_pe - node.log_pw))
+        if rng.random() < p_leaf:
+            leaves.append(prefix)
+        else:
+            for j in range(trie.m):
+                stack.append(prefix + (j,))
+    return TreeModel(trie.m, tuple(leaves))
 
 
 # -- scalar ARCH oracle: one node at a time, as the library fitted nodes before its batched kernel --

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ctreemix
+from ctreemix import ArLeaf, GenerativeSpec, Quantizer, TreeModel, builtin_specs, generate
 from ctreemix import io as sio
 from ctreemix.cli import _train_len, build_parser, main
 
@@ -203,6 +204,30 @@ def test_failed_grid_cell_reports_its_error(tmp_path):
     assert selection[-1]["log_evidence"] is None and "shorter than the initial segment" in selection[-1]["error"]
 
 
+@pytest.mark.parametrize("command", [
+    ["evidence-grid", "--max-order", "2"], ["sample-trees", "--auto-thresholds"], ["fit", "--auto-thresholds"],
+], ids=["evidence-grid", "sample-trees", "fit"])
+def test_series_shorter_than_every_initial_segment_fails_before_the_grid(tmp_path, capsys, command):
+    data = tmp_path / "short.csv"
+    sio.write_series_csv(np.random.default_rng(0).normal(size=8), str(data))
+    out = tmp_path / "out"
+    assert run([command[0], str(data), *command[1:], "--grid-points", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: series of length 8 is shorter than the initial segment of 10 samples "
+                                       "that every grid candidate needs (max of depth and smallest order)\n")
+    assert not out.exists()
+
+
+def test_a_short_series_fits_every_cell_at_depth_one(tmp_path):
+    data = tmp_path / "short.csv"
+    sio.write_series_csv(np.random.default_rng(0).normal(size=8), str(data))
+    out = tmp_path / "grid.csv"
+    assert run(["evidence-grid", str(data), "--max-order", "2", "--grid-points", "3", "--depth", "1",
+                "-o", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 2 and all(row["error"] == "" for row in rows)  # 3 thresholds by 2 orders
+
+
 def test_sample_trees_frequencies(tmp_path):
     data = simulate_csv(tmp_path, n=500, seed=2)
     out = tmp_path / "trees.json"
@@ -268,22 +293,36 @@ def test_overflowing_series_fails_with_one_error_line(tmp_path, capsys, command)
     assert not out.exists()
 
 
-def test_spec_file_simulation(tmp_path):
-    spec = {
-        "kind": "ar",
-        "thresholds": [0.0],
-        "leaves": [
-            {"context": [0], "phi": [0.3], "sigma2": 0.2},
-            {"context": [1], "phi": [-0.3], "sigma2": 0.1},
-        ],
-        "burn_in": 10,
-    }
+AR_SPEC_DOC = {
+    "kind": "ar",
+    "thresholds": [0.0],
+    "leaves": [
+        {"context": [0], "phi": [0.3], "sigma2": 0.2},
+        {"context": [1], "phi": [-0.3], "sigma2": 0.1},
+    ],
+    "burn_in": 10,
+}
+ARCH_SPEC_DOC = {  # builtin arch_sim
+    "kind": "arch",
+    "thresholds": [0.0],
+    "leaves": [{"context": [0], "alpha": [0.1, 0.2, 0.2]}, {"context": [1], "alpha": [0.1, 0.2, 0.0]}],
+}
+
+
+@pytest.mark.parametrize("doc, spec", [
+    (AR_SPEC_DOC, GenerativeSpec(kind="ar", tree=TreeModel(2, ((0,), (1,))), quantizer=Quantizer((0.0,)),
+                                 leaf_params={(0,): ArLeaf(phi=(0.3,), sigma2=0.2),
+                                              (1,): ArLeaf(phi=(-0.3,), sigma2=0.1)}, burn_in=10)),
+    (ARCH_SPEC_DOC, builtin_specs()["arch_sim"].spec),
+], ids=["ar", "arch"])
+def test_spec_file_simulation(tmp_path, doc, spec):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(doc))
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--spec", str(spec_path), "--n", "50", "--seed", "4", "-o", str(out)]) == 0
     values = sio.ingest_csv(str(out))
-    assert len(values) == 51  # includes one initial-context sample
+    assert len(values) == 50 + spec.order  # includes the initial-context samples
+    assert values.tolist() == generate(spec, 50, seed=4).tolist()
 
 
 AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
@@ -302,8 +341,11 @@ AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
      "spec leaf 2 field 'context' repeats an earlier leaf's"),
     ({"kind": "ar", "thresholds": [0.0], "leaves": [{**AR_LEAF, "context": []}], "burn_in": -50},
      "burn_in must be >= 0"),
+    ({"kind": "AR", "thresholds": [0.0], "leaves": [AR_LEAF]}, "spec field 'kind' is malformed: 'AR'"),
+    ({**ARCH_SPEC_DOC, "leaves": [ARCH_SPEC_DOC["leaves"][0], {"context": [1]}]},
+     "spec leaf 1 field 'alpha' is missing or malformed"),
 ], ids=["list", "thresholds-number", "no-sigma2", "phi-string", "context-number", "repeated-context",
-        "negative-burn-in"])
+        "negative-burn-in", "kind-unknown", "arch-no-alpha"])
 def test_malformed_spec_file_fails_with_one_error_line(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -375,13 +417,25 @@ def test_readme_cli_examples_parse():
         build_parser().parse_args(tokens[1:])
 
 
-def test_module_entry_point_runs_the_cli():
+def run_python(*args):
+    """A fresh interpreter with this package on its path."""
     env = dict(os.environ)
     src = str(Path(ctreemix.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "ctreemix", "--help"], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = run_python("-m", "ctreemix", "--help")
     assert proc.returncode == 0
     assert "evidence-grid" in proc.stdout
+
+
+def test_import_needs_no_scipy():
+    # numpy is the one runtime dependency; scipy is for the test oracles only
+    proc = run_python("-c", "import sys, ctreemix; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command, flags, train, need", [

@@ -62,7 +62,7 @@ def test_percentile_grid_properties():
 def test_degenerate_grid_reported():
     series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)
     grid = SelectionGrid(orders=(50,), thresholds=((0.0,),))  # order exceeds data
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="series of length 45 is shorter than the initial segment of 50 samples"):
         select_hyperparams(series[:45], grid, ar_factory(), depth=40)
 
 

@@ -20,6 +20,7 @@ from helpers import (
     brute_force_log_joint,
     enumerate_trees,
     random_mixture_series,
+    reference_sample_tree,
     scalar_sweep,
     small_ar_model,
 )
@@ -43,6 +44,10 @@ class TestTreeModel:
             TreeModel(2, ((0,), (1,), (1, 0), (1, 1)))  # leaf is also internal
         with pytest.raises(ValueError):
             TreeModel(2, ((0,), (0,), (1,)))
+        with pytest.raises(ValueError, match=r"node \(1,\) lacks child 1"):
+            TreeModel(2, ((0,), (1, 0)))
+        with pytest.raises(ValueError, match="symbol 2 outside alphabet of size 2"):
+            TreeModel(2, ((0,), (2,)))
 
     def test_state_lookup_prefix(self):
         t = TreeModel(2, ((1,), (0, 1), (0, 0)))
@@ -144,6 +149,26 @@ class TestMapTree:
         with pytest.raises(ValueError):
             f.trie.map_node((0,) * (depth + 1))
 
+    def test_a_context_never_observed_above_depth_d_is_a_leaf(self):
+        # (1, 0) is never observed; growing it instead of stopping there gives (1, 0, *)
+        q = Quantizer((-0.5, 0.5))
+        rng = np.random.default_rng(77)
+        x = [0.0, 0.0]
+        for _ in range(80):
+            s1, s2 = q(x[-1]), q(x[-2])
+            if s1 == 2:
+                x.append(abs(rng.normal(0.0, 0.6)))
+            elif s1 == 0:
+                x.append((0.9 if s2 == 0 else -0.9) * x[-1] + rng.normal(0.0, 0.05))
+            else:
+                x.append(rng.normal(0.0, 1.0))
+        f = fit_series(x, small_ar_model(1), q, 3)
+        expected = TreeModel(3, ((0,), (1, 0), (1, 1), (1, 2), (2,)))
+        assert f.trie.walk((1, 0)) is None
+        assert f.map_tree() == expected
+        trees = enumerate_trees(3, 3)
+        assert len(trees) == 730 and max(trees, key=f.posterior_of) == expected
+
     def test_beta_below_half_warns(self):
         with pytest.warns(UserWarning):
             ContextTrie(small_ar_model(1), 2, 2, beta=0.3)
@@ -195,6 +220,14 @@ class TestSampler:
             freq = counts.get(t.leaves, 0) / draws
             se = math.sqrt(p * (1 - p) / draws)
             assert abs(freq - p) < 4 * se, (t.leaves, freq, p)
+
+    def test_draws_follow_the_reference_order(self):
+        series = generate(builtin_specs()["sim_2"].spec, 300, seed=4)
+        f = fit_series(series, small_ar_model(1), Quantizer((-0.3, 0.3)), 4)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = [f.trie.sample_tree(rng) for _ in range(300)]
+        assert len(set(got)) > 10
+        assert got == [reference_sample_tree(f.trie, ref) for _ in range(300)]
 
 
 class TestSequentialUpdates:
