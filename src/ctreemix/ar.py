@@ -119,6 +119,11 @@ class _ArColumns:
     def take(self, ids) -> "_ArRows":
         return _ArRows(self, np.asarray(ids, dtype=np.intp))
 
+    def copy_fit(self, ids, sources) -> None:
+        """Give each node of ids the kept posterior of the node at the same place in sources."""
+        sources = np.asarray(sources, dtype=np.intp)
+        self.loc[ids], self.resid[ids] = self.loc[sources], self.resid[sources]
+
     def extend(self, other: "_ArColumns") -> None:
         """Append the rows of other after the last row, doubling the arrays when full."""
         n, k = self.n, other.n

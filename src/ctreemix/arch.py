@@ -97,6 +97,14 @@ class _ArchStates(list):
     def take(self, ids) -> list[ArchNodeState]:
         return [self[i] for i in ids]
 
+    def copy_fit(self, ids, sources) -> None:
+        """Give each node of ids the fit of the node at the same place in sources (theta is shared, never
+        written in place)."""
+        for i, j in zip(ids, sources):
+            dst, src = self[i], self[j]
+            dst.theta, dst.log_pe_cached, dst.flagged, dst.nonconverged = (
+                src.theta, src.log_pe_cached, src.flagged, src.nonconverged)
+
 
 def project_feasible(theta: np.ndarray) -> np.ndarray:
     """Clamp into the prior support: alpha_0 >= floor, alpha_j in [0, 1].

@@ -40,14 +40,21 @@ def percentile_threshold_grid(
 
     Grid points span the 10th to 90th percentile; for alphabets larger than
     two, candidates are all strictly increasing (m-1)-tuples of grid points.
+    Fewer than m - 1 points, or fewer than m - 1 distinct percentile values
+    (a series with many repeated values), raise a ValueError.
     """
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     if points < m - 1:
-        raise ValueError("grid too small for the alphabet")
+        raise ValueError(f"--grid-points {points} gives fewer percentile points than the {m - 1} "
+                         f"threshold(s) that --alphabet {m} needs; raise --grid-points")
     qs = np.linspace(10.0, 90.0, points)
     values = np.percentile(np.asarray(train, dtype=float), qs)
     grid = sorted(set(float(v) for v in values))
+    if len(grid) < m - 1:
+        raise ValueError(f"the training series gave {len(grid)} distinct percentile value(s), fewer than the {m - 1} "
+                         f"threshold(s) that --alphabet {m} needs; give them with --thresholds or "
+                         "--threshold-candidates")
     if m == 2:
         return tuple((v,) for v in grid)
     return tuple(combinations(grid, m - 1))

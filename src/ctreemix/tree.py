@@ -11,8 +11,11 @@ ids.  A leaf model is any object providing::
     order          -> int, number of raw lag values consumed per observation
     new_states(k)  -> a store of k nodes without data; a store supports
                       store[i] (node i's state), store.take(ids) (a batch
-                      of nodes for observe and log_pe) and
-                      store.extend(other) (append other's nodes)
+                      of nodes for observe and log_pe),
+                      store.extend(other) (append other's nodes) and
+                      store.copy_fit(ids, sources) (give each node of ids
+                      the kept fit of the node at the same place in
+                      sources, whose data it equals)
     observe(states, x, lags)
                    -> accumulate one observation into each state of a batch,
                       the D+1 nodes of its context path
@@ -21,9 +24,9 @@ ids.  A leaf model is any object providing::
                       x and of the 2-D lags array) with k in labels[:, i], as
                       observe would leave it
     log_pe(states) -> list of floats, the log marginal likelihood of each
-                      state's data; ``full_sweep`` calls it once per depth and
-                      ``refresh_path`` once per path, so a state's value must
-                      not depend on the other states in the call
+                      state's data; ``full_sweep`` calls it once per sweep
+                      and ``refresh_path`` once per path, so a state's value
+                      must not depend on the other states in the call
     refresh(trie, path, step)
                    -> update the sweeps after the ``step``-th online sample
                       was observed along ``path`` (the root-first node ids
@@ -58,12 +61,19 @@ subtree mixture integrates no data), while its maximised counterpart is
 beta, the prior mass of the bare node.  On ties in the maximising recursion
 the node is pruned, preferring the smaller tree.
 
-Both sweeps run one combine on Python floats: the children are summed in
-child order 0..m-1 from 0.0 and exp and log1p are ``math`` calls.
-``full_sweep`` combines each depth right after scoring it, the deepest
-first, and ``refresh_path`` the D+1 nodes of one path, so an online step
-reproduces a cold refit bit for bit.  The MAP tree and the posterior draws
-come from one top-down grower (``_grow``).
+``full_sweep`` makes one ``log_pe`` call, which leaves out each
+single-child node: a node above depth D with exactly one observed child.
+Every sample that reaches such a node continues to that child, so the
+node holds exactly the child's samples in the same order, and its
+statistics (the same terms added in the same order), log_pe and fit
+equal the child's bit for bit.  The single-child nodes, the deepest
+first, take their child's log_pe, and ``copy_fit`` gives them its fit.
+Both sweeps then run one combine on Python floats: the children are
+summed in child order 0..m-1 from 0.0 and exp and log1p are ``math``
+calls.  ``full_sweep`` combines one depth at a time, the deepest first,
+and ``refresh_path`` the D+1 nodes of one path, so an online step
+reproduces a cold refit bit for bit.  The MAP tree and the posterior
+draws come from one top-down grower (``_grow``).
 """
 
 from __future__ import annotations
@@ -210,9 +220,10 @@ class ContextTrie:
     Building is single-writer: ``observe`` routes one sample through the
     D+1 nodes on its context path, creating nodes at the end of the
     numbering, and ``observe_all`` routes a whole batch into a fresh trie.
-    ``full_sweep`` (one depth at a time from the bottom) or ``refresh_path``
-    (after a single new observation) recompute the per-node quantities;
-    read-only queries are safe to run concurrently afterwards.
+    ``full_sweep`` (one scoring call, then the combine from the bottom) or
+    ``refresh_path`` (after a single new observation) recompute the
+    per-node quantities; read-only queries are safe to run concurrently
+    afterwards.
     """
 
     def __init__(self, leaf_model, m: int, depth: int, beta: float | None = None):
@@ -338,10 +349,28 @@ class ContextTrie:
     # -- sweeps -------------------------------------------------------------
 
     def full_sweep(self) -> None:
-        """Recompute log_pe / log_pw / log_pm at every node, one depth at a time from the bottom."""
-        for depth, ids in reversed([*enumerate(self._levels)]):
+        """Recompute log_pe / log_pw / log_pm at every node: one ``log_pe`` call for all but the
+        single-child nodes, which take their child's, then the combine one depth at a time from the bottom."""
+        kids, levels, pes = self._kids, self._levels, self._log_pe
+        lone = self.m - 1  # a single-child node's count of absent children
+        scored = levels[-1][:]
+        source = {}  # each single-child node, the deepest first: the scored node whose samples it holds
+        for ids in reversed(levels[:-1]):
+            for node in ids:
+                children = kids[node]
+                if children.count(-1) == lone:
+                    child = max(children)
+                    source[node] = source.get(child, child)
+                else:
+                    scored.append(node)
+        for node, pe in zip(scored, self.model.log_pe(self.states.take(scored))):
+            pes[node] = pe
+        for node, src in source.items():
+            pes[node] = pes[src]
+        self.states.copy_fit(list(source), list(source.values()))
+        for depth, ids in reversed([*enumerate(levels)]):
             if ids:  # else no context this long was observed
-                self._combine_nodes(ids, self.model.log_pe(self.states.take(ids)), repeat(self._log_pm_absent[depth]))
+                self._combine_nodes(ids, map(pes.__getitem__, ids), repeat(self._log_pm_absent[depth]))
         self._swept = True
         self._ever_swept = True
         self._p_leaf = None

@@ -281,6 +281,19 @@ def test_rejected_configurations(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points, message", [
+    ("4", "the training series gave 1 distinct percentile value(s), fewer than the 2 threshold(s) that --alphabet 3 "
+          "needs; give them with --thresholds or --threshold-candidates"),
+    ("0", "--grid-points 0 gives fewer percentile points than the 2 threshold(s) that --alphabet 3 needs; "
+          "raise --grid-points"),
+], ids=["collapsed-grid", "too-few-points"])
+def test_percentile_grid_smaller_than_the_alphabet(tmp_path, capsys, points, message):
+    data = tmp_path / "const.csv"
+    sio.write_series_csv(np.full(300, 2.5), str(data))
+    assert run(["evidence-grid", str(data), "--alphabet", "3", "--grid-points", points]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["fit", "evidence-grid"])
 def test_overflowing_series_fails_with_one_error_line(tmp_path, capsys, command):
     data = tmp_path / "huge.csv"

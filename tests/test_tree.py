@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ctreemix import (
-    ArchConfig, ArchModel, ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series, generate,
+    ArchConfig, ArchModel, ArchNodeState, ArHyperParams, ArModel, Quantizer, TreeModel, builtin_specs, fit_series,
+    generate,
 )
 from ctreemix.arch import FULL_REFRESH_EVERY
 from ctreemix.tree import ContextTrie, default_beta, log_prior
@@ -333,6 +334,75 @@ class TestSweepOracle:
         assert {len(context) for context in after - before} >= {2, 3, 4}  # new nodes at several depths
         assert any(context + (j,) not in after for context in after if len(context) < depth for j in range(m))
         self.assert_matches_scalar_sweep(f.trie)
+
+
+class TestSingleChildNodes:
+    """A node above depth D with exactly one observed child holds exactly that child's samples: the sweep
+    scores the child alone and hands the node the child's log_pe and kept fit."""
+
+    @staticmethod
+    def single_child_ids(trie) -> set[int]:
+        nodes = dict(trie.nodes())
+        return {
+            node.id for context, node in nodes.items()
+            if len(context) < trie.depth and sum(context + (j,) in nodes for j in range(trie.m)) == 1
+        }
+
+    @pytest.mark.parametrize("leaf", ["ar", "arch"])
+    def test_one_call_scores_each_distinct_data_set_once(self, leaf, monkeypatch):
+        depth, n = 6, 240
+        series = TestSweepOracle().series(leaf, n + 400, seed=5)
+        model = TestSweepOracle.model(leaf)
+        f = fit_series(series[:n], model, Quantizer((-0.3, 0.3)), depth)
+        single = self.single_child_ids(f.trie)
+        assert len(single) > f.trie.num_nodes // 4
+
+        batches, taken = [], []
+        log_pe, take = model.log_pe, type(f.trie.states).take
+        monkeypatch.setattr(model, "log_pe", lambda states: batches.append(len(states)) or log_pe(states))
+        monkeypatch.setattr(type(f.trie.states), "take", lambda store, ids: taken.append(list(ids)) or take(store, ids))
+        f.trie.full_sweep()
+        assert batches == [f.trie.num_nodes - len(single)]
+        assert set(taken[0]) == set(range(f.trie.num_nodes)) - single
+        TestSweepOracle.assert_matches_scalar_sweep(f.trie)
+
+        # online steps until a single-child node gains a second child; the next sweep scores it again
+        for x in series[n:]:
+            f.update(x)
+            regained = single - self.single_child_ids(f.trie)
+            if regained:
+                break
+        assert regained
+        batches.clear()
+        taken.clear()
+        f.trie.full_sweep()
+        single = self.single_child_ids(f.trie)
+        assert batches == [f.trie.num_nodes - len(single)]
+        assert regained <= set(taken[0]) == set(range(f.trie.num_nodes)) - single
+        TestSweepOracle.assert_matches_scalar_sweep(f.trie)
+
+    @staticmethod
+    def assert_every_fit_is_cold(trie, model):
+        # each node's kept fit equals a cold fit of a fresh state holding the same rows
+        for context, node in trie.nodes():
+            st = node.state
+            fresh = ArchNodeState(st.xs.copy(), st.zs.copy())
+            model.fit_state(fresh)
+            assert st.theta is not None and st.theta.tobytes() == fresh.theta.tobytes(), context
+            assert (st.log_pe_cached, st.flagged, st.nonconverged) == (
+                fresh.log_pe_cached, fresh.flagged, fresh.nonconverged), context
+
+    def test_arch_nodes_keep_their_own_fit(self):
+        depth, n, steps, cfg = 6, 300, 2 * FULL_REFRESH_EVERY, ArchConfig(order=2)
+        series = generate(builtin_specs()["arch_sim"].spec, n + steps, seed=2)[:n + steps]
+        f = fit_series(series[:n], ArchModel(cfg), Quantizer((-0.3, 0.3)), depth)
+        self.assert_every_fit_is_cold(f.trie, ArchModel(cfg))
+        states = [f.trie.states[i] for i in self.single_child_ids(f.trie)]
+        assert len(states) >= 50
+        assert any(st.flagged for st in states) and any(not st.flagged for st in states)
+        for x in series[n:]:  # warm path refits, ending on the second full refresh
+            f.update(x)
+        self.assert_every_fit_is_cold(f.trie, ArchModel(cfg))
 
 
 class TestTreesFromTheTrie:
