@@ -92,13 +92,14 @@ class _ArColumns:
     s1, s2 (q values) and s3 (q * q values, row by row), so that a sample
     adds one row to each node of its path.  ``loc`` (N, q) and ``resid``
     (N,) hold the posterior each node's last scoring solved, resid NaN
-    while the sums changed since.
+    while the sums changed since.  With ``intercept``, design column 0 is
+    the constant and the lags follow.
     """
 
-    __slots__ = ("n", "q", "sums", "loc", "resid")
+    __slots__ = ("n", "q", "intercept", "sums", "loc", "resid")
 
-    def __init__(self, sums: np.ndarray, q: int):
-        self.n, self.q, self.sums = len(sums), q, sums
+    def __init__(self, sums: np.ndarray, q: int, intercept: bool = False):
+        self.n, self.q, self.intercept, self.sums = len(sums), q, intercept, sums
         self.loc = np.zeros((self.n, q))
         self.resid = np.full(self.n, np.nan)
 
@@ -123,6 +124,17 @@ class _ArColumns:
         """Give each node of ids the kept posterior of the node at the same place in sources."""
         sources = np.asarray(sources, dtype=np.intp)
         self.loc[ids], self.resid[ids] = self.loc[sources], self.resid[sources]
+
+    def narrow(self, order: int) -> "_ArColumns":
+        """The same nodes' sums over the first ``order`` lags, without a kept posterior.
+
+        The design of a lower order is the leading block of this one, so
+        count, s1, s2[:q] and the leading q x q block of s3 are the sums that
+        observing at that order makes, bit for bit.
+        """
+        q, width = order + self.intercept, self.q
+        s3 = [2 + width + a * width + b for a in range(q) for b in range(q)]
+        return _ArColumns(self.sums[:self.n, [0, 1, *range(2, 2 + q), *s3]], q, self.intercept)
 
     def extend(self, other: "_ArColumns") -> None:
         """Append the rows of other after the last row, doubling the arrays when full."""
@@ -201,15 +213,16 @@ def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
     """
     rows = _as_rows(states)
     a, loc, d = _posterior_core(rows)
-    diag = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).tolist()
+    # the logs of the Cholesky diagonals, from one flat list, grouped q at a time: one tuple per state
+    logs = map(log, np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).ravel().tolist())
     tau, lam = hp.tau, hp.lam
     prior = tau * log(lam) - lgamma(tau)
     out = []
-    for n, low_diag, d_k in zip(rows.cols.sums[rows.ids, 0].tolist(), diag, d.tolist()):
+    for n, d_k, diag_logs in zip(rows.cols.sums[rows.ids, 0].tolist(), d.tolist(), zip(*[logs] * a.shape[1])):
         if n == 0:
             out.append(0.0)
             continue
-        logdet = 2.0 * sum(map(log, low_diag))  # log det(I + s3)
+        logdet = 2.0 * sum(diag_logs)  # log det(I + s3)
         out.append(
             -0.5 * (n * LOG_2PI + logdet)
             + lgamma(tau + 0.5 * n)
@@ -261,7 +274,7 @@ class ArModel:
 
     def new_states(self, k: int) -> _ArColumns:
         q = self.hp.dim
-        return _ArColumns(np.zeros((k, 2 + q + q * q)), q)
+        return _ArColumns(np.zeros((k, 2 + q + q * q)), q, self.hp.intercept)
 
     def observe(self, states, x: float, lags: Sequence[float]) -> None:
         """Add one sample to each state (ArSufficientStats, or a batch of a trie's nodes), in place.
@@ -310,7 +323,7 @@ class ArModel:
             s2[:, a] = sums(x * col)
             for b in range(a, q):
                 s3[:, a, b] = s3[:, b, a] = sums(col * design[:, b])
-        return _ArColumns(out, q)
+        return _ArColumns(out, q, self.hp.intercept)
 
     def refresh(self, trie, path, step: int) -> None:
         trie.refresh_path(path)

@@ -105,6 +105,12 @@ class _ArchStates(list):
             dst.theta, dst.log_pe_cached, dst.flagged, dst.nonconverged = (
                 src.theta, src.log_pe_cached, src.flagged, src.nonconverged)
 
+    def narrow(self, order: int) -> "_ArchStates":
+        """The same nodes' rows over the first ``order`` lags, unfitted: a contiguous copy of each design's
+        leading order + 1 columns (the constant, then the squared lags), as BLAS sums a strided view's
+        products in another order."""
+        return _ArchStates(ArchNodeState(state.xs, np.ascontiguousarray(state.zs[:, :order + 1])) for state in self)
+
 
 def project_feasible(theta: np.ndarray) -> np.ndarray:
     """Clamp into the prior support: alpha_0 >= floor, alpha_j in [0, 1].

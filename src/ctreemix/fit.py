@@ -105,17 +105,20 @@ def fit_series(
     beta: Optional[float] = None,
 ) -> FittedModel:
     """Fit a context-tree mixture on a full series and run the sweeps."""
+    fitted = _ingest(series, model, quantizer, depth, beta)
+    _sweep(fitted.trie)
+    return fitted
+
+
+def _ingest(series: Sequence[float], model, quantizer: Quantizer, depth: int, beta: Optional[float]) -> FittedModel:
+    """A model whose trie holds every sample after the initial segment, not yet swept."""
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("series must be one-dimensional")
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains non-finite values")
     fitted = FittedModel(model, quantizer, depth, beta)
-    if len(series) < fitted.init_len:
-        raise ValueError(
-            f"series of length {len(series)} is shorter than the "
-            f"initial segment of {fitted.init_len} samples"
-        )
+    _check_initial_segment(len(series), fitted.init_len)
     n, init = len(series), fitted.init_len
     # Sample i's context is (sym[i-1], ..., sym[i-depth]) and its lags are
     # (series[i-1], ..., series[i-order]); column d of either is a shifted slice.
@@ -124,12 +127,23 @@ def fit_series(
     lags = np.empty((n - init, model.order))
     for k in range(model.order):
         lags[:, k] = series[init - 1 - k : n - 1 - k]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite evidence is raised below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite evidence is raised by _sweep
         fitted.trie.observe_all(contexts, series[init:], lags)
-        fitted.trie.full_sweep()
-    log_evidence = fitted.trie.log_evidence()
-    if not isfinite(log_evidence):
-        raise ValueError(f"log evidence is {log_evidence}: the series overflows float64 in the fit; rescale it")
     fitted._history.extend(series[n - model.order :].tolist())
     fitted._symbols.extend(symbols[n - depth :].tolist())
     return fitted
+
+
+def _check_initial_segment(n: int, init_len: int) -> None:
+    if n < init_len:
+        raise ValueError(f"series of length {n} is shorter than the initial segment of {init_len} samples")
+
+
+def _sweep(trie: ContextTrie) -> float:
+    """Run the trie's full sweep and return its log evidence, raising a ValueError if that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trie.full_sweep()
+    log_evidence = trie.log_evidence()
+    if not isfinite(log_evidence):
+        raise ValueError(f"log evidence is {log_evidence}: the series overflows float64 in the fit; rescale it")
+    return log_evidence

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fit import fit_series
+from .fit import _check_initial_segment, _ingest, _sweep
 from .quantizer import Quantizer
 
 
@@ -31,6 +31,11 @@ class SelectionGrid:
         for thr in self.thresholds:
             if any(not a < b for a, b in zip(thr, thr[1:])):
                 raise ValueError(f"thresholds {thr} not strictly increasing")
+        for name, values in (("threshold candidate", [list(thr) for thr in self.thresholds]),
+                             ("order", list(self.orders))):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} {value} is given more than once")
 
 
 def percentile_threshold_grid(
@@ -102,30 +107,48 @@ def select_hyperparams(
 
     `model_factory(order)` must return a fresh leaf model of that order.
     Every cell scores the samples after the first init = max(depth, largest
-    order), at most len(train): order p's fit skips init - max(depth, p).
-    A series shorter than every candidate's initial segment, max(depth,
-    smallest order), raises one ValueError before any fit.  Candidates that
-    fail numerically are recorded with -inf evidence; if all fail a
-    RuntimeError is raised.
+    order), at most len(train), so each cell equals a separate fit of
+    order p on train[init - max(depth, p):].  The training series is
+    ingested once per threshold set, at the largest order whose initial
+    segment fits it; each order is then scored on that trie with its
+    store narrowed to the order's lags, which gives the same sums, bit for
+    bit.  A series shorter than every candidate's initial segment,
+    max(depth, smallest order), raises one ValueError before any fit; a
+    longer order fails alone.  Candidates that fail numerically are
+    recorded with -inf evidence (a failed ingest in every cell of its
+    threshold set); if all fail a RuntimeError is raised.  The table lists
+    the orders in increasing order, each over the sorted thresholds.
     """
     shortest = max(depth, min(grid.orders))
     if len(train) < shortest:
         raise ValueError(f"series of length {len(train)} is shorter than the initial segment of {shortest} "
                          "samples that every grid candidate needs (max of depth and smallest order)")
-    cells: list[EvidenceCell] = []
-    best: Optional[EvidenceCell] = None
     init = min(max(depth, *grid.orders), len(train))
-    for order in sorted(grid.orders):
-        series = train[max(0, init - max(depth, order)):]
-        for thr in sorted(grid.thresholds):
+    widest = max(order for order in grid.orders if max(depth, order) <= len(train))
+    orders, thresholds = sorted(grid.orders), sorted(grid.thresholds)
+    cells: dict[tuple[tuple[float, ...], int], EvidenceCell] = {}
+    for thr in thresholds:
+        try:
+            ingested = _ingest(train[init - max(depth, widest):], model_factory(widest), Quantizer(thr), depth,
+                               beta).trie
+        except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
+            cells.update(((thr, order), EvidenceCell(thr, order, float("-inf"), error=str(exc)))
+                         for order in orders)
+            continue
+        for order in orders:
             try:
-                fitted = fit_series(series, model_factory(order), Quantizer(thr), depth, beta)
-                cell = EvidenceCell(thr, order, fitted.log_evidence())
-            except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
-                cell = EvidenceCell(thr, order, float("-inf"), error=str(exc))
-            cells.append(cell)
-            if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):
-                best = cell
+                _check_initial_segment(len(train), max(depth, order))
+                # the ingested trie scores its own order; a narrowed one is dropped once swept
+                cells[thr, order] = EvidenceCell(thr, order, _sweep(
+                    ingested if order == widest else ingested._narrowed(model_factory(order), order)))
+            except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
+                cells[thr, order] = EvidenceCell(thr, order, float("-inf"), error=str(exc))
+        del ingested  # before the next threshold set's ingest
+    table = tuple(cells[thr, order] for order in orders for thr in thresholds)
+    best: Optional[EvidenceCell] = None
+    for cell in table:
+        if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):
+            best = cell
     if best is None:
-        raise RuntimeError(f"every grid candidate failed numerically; the first: {cells[0].error}")
-    return SelectionResult(best.thresholds, best.order, best.log_evidence, tuple(cells))
+        raise RuntimeError(f"every grid candidate failed numerically; the first: {table[0].error}")
+    return SelectionResult(best.thresholds, best.order, best.log_evidence, table)

@@ -12,10 +12,13 @@ ids.  A leaf model is any object providing::
     new_states(k)  -> a store of k nodes without data; a store supports
                       store[i] (node i's state), store.take(ids) (a batch
                       of nodes for observe and log_pe),
-                      store.extend(other) (append other's nodes) and
+                      store.extend(other) (append other's nodes),
                       store.copy_fit(ids, sources) (give each node of ids
                       the kept fit of the node at the same place in
-                      sources, whose data it equals)
+                      sources, whose data it equals) and
+                      store.narrow(order) (a store of the same nodes,
+                      unfitted, holding only the first ``order`` lags of
+                      each observation, equal to observing at that order)
     observe(states, x, lags)
                    -> accumulate one observation into each state of a batch,
                       the D+1 nodes of its context path
@@ -68,6 +71,8 @@ node holds exactly the child's samples in the same order, and its
 statistics (the same terms added in the same order), log_pe and fit
 equal the child's bit for bit.  The single-child nodes, the deepest
 first, take their child's log_pe, and ``copy_fit`` gives them its fit.
+This split into scored and single-child nodes depends only on the
+children, so the trie keeps it as its sweep plan until a node is made.
 Both sweeps then run one combine on Python floats: the children are
 summed in child order 0..m-1 from 0.0 and exp and log1p are ``math``
 calls.  ``full_sweep`` combines one depth at a time, the deepest first,
@@ -78,6 +83,7 @@ draws come from one top-down grower (``_grow``).
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
@@ -258,6 +264,7 @@ class ContextTrie:
         # and the queries read and write at a fraction of numpy's cost per call.
         self._log_pe, self._log_pw, self._log_pm, self._leaf_wins = [], [], [], []
         self._add_values(1)
+        self._plan = None  # full_sweep's split of the nodes, made on demand until a node is made
         self._p_leaf = None  # sample_tree's leaf probabilities, made on demand after each sweep
         self._swept = False
         self._ever_swept = False
@@ -295,6 +302,7 @@ class ContextTrie:
                 self._levels[d].append(path[-1])
             self.states.extend(self.model.new_states(len(path) - have))
             self._add_values(len(path) - have)
+            self._plan = None
         self.model.observe(self.states.take(path), x, lags)
         self.num_obs += 1
         self._swept = False
@@ -342,32 +350,58 @@ class ContextTrie:
             children[np.concatenate(parents), np.concatenate(syms)] = np.arange(1, n)
         self._kids, self._levels = children.tolist(), levels
         self._add_values(n - 1)
+        self._plan = None
         self.states = self.model.observe_batch(labels, x, lags)
         self.num_obs = len(x)
         self._swept = False
 
     # -- sweeps -------------------------------------------------------------
 
+    def _sweep_plan(self) -> tuple[list[int], list[int], list[int]]:
+        """``full_sweep``'s split of the nodes, kept until a node is made: the ids it scores, and the
+        single-child nodes, the deepest first, with the scored node whose samples each holds."""
+        if self._plan is None:
+            kids, levels = self._kids, self._levels
+            lone = self.m - 1  # a single-child node's count of absent children
+            scored = levels[-1][:]
+            source = {}
+            for ids in reversed(levels[:-1]):
+                for node in ids:
+                    children = kids[node]
+                    if children.count(-1) == lone:
+                        child = max(children)
+                        source[node] = source.get(child, child)
+                    else:
+                        scored.append(node)
+            self._plan = scored, list(source), list(source.values())
+        return self._plan
+
+    def _narrowed(self, model, order: int) -> "ContextTrie":
+        """A trie of the same nodes whose store holds only the first ``order`` lags, scored by ``model``.
+
+        It shares the children, the depths' ids and the sweep plan with
+        this trie, so neither may make a node afterwards.  It equals
+        observing the same samples at that order, bit for bit.
+        """
+        self._sweep_plan()
+        trie = copy.copy(self)
+        trie.model, trie.states = model, self.states.narrow(order)
+        trie._log_pe, trie._log_pw, trie._log_pm, trie._leaf_wins = [], [], [], []
+        trie._add_values(self.num_nodes)
+        trie._p_leaf = None
+        trie._swept = trie._ever_swept = False
+        return trie
+
     def full_sweep(self) -> None:
         """Recompute log_pe / log_pw / log_pm at every node: one ``log_pe`` call for all but the
         single-child nodes, which take their child's, then the combine one depth at a time from the bottom."""
-        kids, levels, pes = self._kids, self._levels, self._log_pe
-        lone = self.m - 1  # a single-child node's count of absent children
-        scored = levels[-1][:]
-        source = {}  # each single-child node, the deepest first: the scored node whose samples it holds
-        for ids in reversed(levels[:-1]):
-            for node in ids:
-                children = kids[node]
-                if children.count(-1) == lone:
-                    child = max(children)
-                    source[node] = source.get(child, child)
-                else:
-                    scored.append(node)
+        levels, pes = self._levels, self._log_pe
+        scored, lone, sources = self._sweep_plan()
         for node, pe in zip(scored, self.model.log_pe(self.states.take(scored))):
             pes[node] = pe
-        for node, src in source.items():
+        for node, src in zip(lone, sources):
             pes[node] = pes[src]
-        self.states.copy_fit(list(source), list(source.values()))
+        self.states.copy_fit(lone, sources)
         for depth, ids in reversed([*enumerate(levels)]):
             if ids:  # else no context this long was observed
                 self._combine_nodes(ids, map(pes.__getitem__, ids), repeat(self._log_pm_absent[depth]))

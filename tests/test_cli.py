@@ -294,6 +294,15 @@ def test_percentile_grid_smaller_than_the_alphabet(tmp_path, capsys, points, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_repeated_threshold_candidate_is_an_error(tmp_path, capsys):
+    data = simulate_csv(tmp_path, n=300, seed=3)
+    out = tmp_path / "grid.csv"
+    args = ["evidence-grid", str(data), "--depth", "4", "--threshold-candidates=0;0;0.1", "--max-order", "2"]
+    assert run(args + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: threshold candidate [0.0] is given more than once\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "evidence-grid"])
 def test_overflowing_series_fails_with_one_error_line(tmp_path, capsys, command):
     data = tmp_path / "huge.csv"

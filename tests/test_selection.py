@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctreemix import Quantizer, builtin_specs, fit_series, generate
+from ctreemix import ArModel, Quantizer, builtin_specs, fit_series, generate
 from ctreemix.forecasting import RunConfig
 from ctreemix.selection import (
     SelectionGrid,
@@ -106,6 +106,10 @@ def test_grid_validation():
         SelectionGrid(orders=(), thresholds=((0.0,),))
     with pytest.raises(ValueError):
         SelectionGrid(orders=(1,), thresholds=((0.3, 0.1),))
+    with pytest.raises(ValueError, match=r"^order 2 is given more than once$"):
+        SelectionGrid(orders=(1, 2, 3, 2), thresholds=((0.0,),))
+    with pytest.raises(ValueError, match=r"^threshold candidate \[-0.1, 0.2\] is given more than once$"):
+        SelectionGrid(orders=(1,), thresholds=((-0.1, 0.2), (0.0, 0.2), (-0.1, 0.2)))
 
 
 def test_every_cell_scores_the_same_samples():
@@ -130,3 +134,45 @@ def test_an_order_longer_than_the_series_fails_alone():
     scored_after_init = fit_series(series[6:], ar_factory()(1), Quantizer((0.0,)), 2)  # init min(9, 8): none scored
     assert cells[1].error is None and cells[1].log_evidence == scored_after_init.log_evidence()
     assert "shorter than the initial segment of 9" in cells[9].error
+
+
+@pytest.mark.parametrize("kind, intercept, depth", [
+    ("ar", False, 4), ("ar", True, 4), ("ar", False, 2), ("ar", True, 1), ("arch", False, 3), ("arch", False, 1),
+], ids=["ar-deep", "ar-intercept-deep", "ar-shallow", "ar-intercept-shallow", "arch-deep", "arch-shallow"])
+def test_every_cell_equals_a_fit_at_its_order(kind, intercept, depth):
+    # one ingest per threshold set at order 3, narrowed per order; depth >= and < the largest order
+    spec = builtin_specs()["arch_sim" if kind == "arch" else "sim_2"].spec
+    series = generate(spec, 300 if kind == "arch" else 500, seed=depth)
+    orders = (0, 1, 2, 3) if kind == "arch" else (1, 2, 3)
+    grid = SelectionGrid(orders=orders, thresholds=((-0.3, 0.3), (-0.5, 0.1)))
+    make = RunConfig(kind=kind, thresholds=(-0.3, 0.3), order=1, depth=depth, intercept=intercept).make_model
+    res = select_hyperparams(series, grid, make, depth)
+    init = max(depth, 3)
+    assert [(cell.order, cell.thresholds) for cell in res.table] == [
+        (order, thr) for order in orders for thr in sorted(grid.thresholds)]
+    for cell in res.table:
+        fitted = fit_series(series[init - max(depth, cell.order):], make(cell.order), Quantizer(cell.thresholds), depth)
+        assert fitted.num_scored == len(series) - init
+        assert cell.error is None and cell.log_evidence == fitted.log_evidence(), cell
+
+
+def test_one_ingest_per_threshold_set(monkeypatch):
+    ingests = []
+    observe_batch = ArModel.observe_batch
+    monkeypatch.setattr(ArModel, "observe_batch",
+                        lambda model, *args: ingests.append(model.order) or observe_batch(model, *args))
+    series = generate(builtin_specs()["sim_2"].spec, 600, seed=1)
+    grid = candidate_grid(series, 3, max_order=3, points=4)
+    res = select_hyperparams(series, grid, ar_factory(), depth=10)
+    assert len(res.table) == 18 and all(cell.error is None for cell in res.table)
+    assert ingests == [3] * 6  # at the largest order, one per threshold pair
+
+
+def test_a_failed_ingest_fails_every_cell_of_its_threshold_set():
+    series = generate(builtin_specs()["sim_1"].spec, 200, seed=3)
+    grid = SelectionGrid(orders=(1, 2), thresholds=((0.0,), (float("nan"),)))
+    res = select_hyperparams(series, grid, ar_factory(), depth=3)
+    failed = [cell for cell in res.table if cell.error is not None]
+    assert [cell.order for cell in failed] == [1, 2]
+    assert all(cell.error == "thresholds must be finite" and np.isnan(cell.thresholds[0]) for cell in failed)
+    assert (res.thresholds, res.order) in {((0.0,), 1), ((0.0,), 2)}

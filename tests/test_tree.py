@@ -405,6 +405,67 @@ class TestSingleChildNodes:
         self.assert_every_fit_is_cold(f.trie, ArchModel(cfg))
 
 
+class TestNarrowedTrie:
+    """A trie ingested at the largest order and narrowed to a lower one equals a fit at that order."""
+
+    @staticmethod
+    def model(leaf, order):
+        if leaf == "arch":
+            return ArchModel(ArchConfig(order=order))
+        return ArModel(ArHyperParams(order=order, intercept=leaf == "ar-intercept"))
+
+    @staticmethod
+    def store_bytes(trie):
+        if isinstance(trie.model, ArchModel):
+            return [(st.xs.tobytes(), st.zs.shape, st.zs.tobytes()) for st in trie.states]
+        return trie.states.sums[:trie.num_nodes].tobytes()
+
+    @staticmethod
+    def sweep_bytes(trie):
+        values = trie._log_pe, trie._log_pw, trie._log_pm
+        return [struct.pack(f"<{trie.num_nodes}d", *v) for v in values] + [trie._leaf_wins]
+
+    @pytest.mark.parametrize("leaf", ["ar", "ar-intercept", "arch"])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_every_node_equals_a_fit_at_its_order(self, leaf, depth):
+        top, quantizer = 3, Quantizer((-0.3, 0.3))
+        series = TestSweepOracle().series(leaf, 300, seed=depth)
+        init = max(depth, top)
+        ingested = fit_series(series, self.model(leaf, top), quantizer, depth).trie
+        for order in range(0 if leaf == "arch" else 1, top + 1):
+            fitted = fit_series(series[init - max(depth, order):], self.model(leaf, order), quantizer, depth).trie
+            narrowed = ingested._narrowed(self.model(leaf, order), order)
+            assert narrowed._kids is ingested._kids and narrowed._levels is ingested._levels
+            assert narrowed._sweep_plan() is ingested._sweep_plan()
+            assert narrowed._kids == fitted._kids and narrowed.num_obs == fitted.num_obs
+            assert self.store_bytes(narrowed) == self.store_bytes(fitted)
+            narrowed.full_sweep()
+            assert self.sweep_bytes(narrowed) == self.sweep_bytes(fitted)
+            if leaf == "arch":
+                assert [(st.theta.tobytes(), st.flagged, st.nonconverged) for st in narrowed.states] == [
+                    (st.theta.tobytes(), st.flagged, st.nonconverged) for st in fitted.states]
+        assert self.store_bytes(ingested) == self.store_bytes(
+            fit_series(series, self.model(leaf, top), quantizer, depth).trie)  # narrowing changed nothing
+
+    def test_the_sweep_plan_is_kept_until_a_node_is_made(self):
+        series = generate(builtin_specs()["sim_2"].spec, 500, seed=2)
+        f = fit_series(series[:200], small_ar_model(2), Quantizer((-0.3, 0.3)), 6)
+        plan = f.trie._sweep_plan()
+        made = kept = 0
+        for x in series[200:]:
+            nodes = f.trie.num_nodes
+            f.update(x)
+            if f.trie.num_nodes == nodes:
+                kept += 1
+            else:
+                made += 1
+                assert f.trie._plan is None
+                f.trie.full_sweep()
+                plan = f.trie._plan
+            assert f.trie._sweep_plan() is plan
+        assert made and kept
+
+
 class TestTreesFromTheTrie:
     """Trees built from the trie without validation equal those the validating constructor builds."""
 
