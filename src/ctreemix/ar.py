@@ -21,7 +21,6 @@ xt is prepended with a constant 1 and every dimension below is p + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import lgamma, log
 from typing import Optional, Sequence
 
@@ -173,66 +172,102 @@ def _as_rows(states) -> _ArRows:
     return _ArColumns(sums, q).take(np.arange(k))
 
 
-@cache
-def _identity(q: int) -> np.ndarray:
-    """The q x q identity, the coefficient prior's precision; built once per dimension (read only)."""
-    return np.eye(q)
-
-
 def _posterior_core(rows: _ArRows):
-    """The stack a = s3 + I, the solutions loc of a loc = s2, and d = s1 - s2' loc; one row per node.
+    """Factor each node's s3 + I = L L' and solve with the factor; one column per node.
 
-    LAPACK solves each matrix of a stack on its own and every other step is
-    elementwise, so a node's row does not depend on the other nodes.  The
-    columns keep loc and d as the nodes' posteriors; loc is read only, as
-    states scored outside a trie keep its rows.
+    Returns the counts n (K,), the diagonal of each L (q, K), the
+    locations loc = (s3 + I)^{-1} s2 (K, q) and the residuals
+    d = s1 - s2' loc = s1 - |L^{-1} s2|^2 (K,).  The rows are gathered once, transposed, so that each sum is a
+    contiguous (K,) column; the factor, the forward substitution and the
+    back substitution then run one column of L at a time, each step one
+    numpy ufunc (sqrt, multiply, subtract, divide) over all K nodes.  A
+    node's values are IEEE operations on its own sums in a fixed order, so
+    they do not depend on the rest of the batch.  Raises
+    np.linalg.LinAlgError on a pivot <= 0; a NaN pivot (a series that
+    overflows float64) goes through to a NaN evidence.  The columns keep
+    loc and d as the nodes' posteriors; loc is read only, as states scored
+    outside a trie keep its rows.
     """
-    cols, ids = rows.cols, rows.ids
-    _, s1, b, a = cols.unpack(cols.sums[ids], cols.q)
-    a += _identity(a.shape[1])
-    loc = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    b_loc = b[:, 0] * loc[:, 0]
-    for i in range(1, b.shape[1]):  # column by column: the same summation order for any batch
-        b_loc += b[:, i] * loc[:, i]
-    d = np.maximum(s1 - b_loc, 0.0)  # roundoff guard; d is a residual quadratic form
+    cols, ids, q = rows.cols, rows.ids, rows.cols.q
+    sums = cols.sums.take(ids, axis=0).T.copy()
+    n, s1, y = sums[0], sums[1], sums[2:2 + q]
+    low = sums[2 + q:].reshape(q, q, -1)  # a = s3 + I; below its diagonal L overwrites it, column by column
+    pivots = sums[2 + q::q + 1]  # the diagonal of a: after the loop, each column's pivot
+    pivots += 1.0
+    diag = np.empty((q, len(ids)))
+    with np.errstate(invalid="ignore"):  # the square root of a pivot <= 0 is raised below
+        for j in range(q):
+            np.sqrt(low[j, j], out=diag[j])
+            if j + 1 < q:
+                col = low[j + 1:, j]
+                col /= diag[j]
+                low[j + 1:, j + 1:] -= col[:, None] * col  # of this block, only the lower triangle is read
+    if np.count_nonzero(pivots <= 0.0):
+        raise np.linalg.LinAlgError("s3 + I is not positive definite")
+    for i in range(q):  # y = L^{-1} s2, in place over s2
+        y[i] /= diag[i]
+        if i + 1 < q:
+            y[i + 1:] -= low[i + 1:, i] * y[i]
+    squares = y * y
+    norm = squares[0]
+    for i in range(1, q):
+        norm += squares[i]
+    d = np.maximum(s1 - norm, 0.0)  # roundoff guard; d is a residual quadratic form
+    for i in reversed(range(q)):  # loc = L'^{-1} y, in place over y
+        y[i] /= diag[i]
+        if i:
+            y[:i] -= low[i, :i] * y[i]
+    loc = y.T.copy()
     cols.loc[ids], cols.resid[ids] = loc, d
     loc.flags.writeable = False
-    return a, loc, d
+    return n, diag, loc, d
+
+
+_LGAMMA: dict[float, np.ndarray] = {}
+
+
+def _lgamma_halves(tau: float, counts: np.ndarray) -> np.ndarray:
+    """lgamma(tau + n/2) for each count n, read from a table of math.lgamma values kept per tau.
+
+    The table is rebuilt, at least twice as long, when a count outgrows it.
+    """
+    try:
+        return _LGAMMA[tau][counts]
+    except (KeyError, IndexError):  # a new tau, or a count larger than any before
+        size = max(int(counts.max(initial=0)) + 1, 2 * len(_LGAMMA.get(tau, ())), 64)
+        table = _LGAMMA[tau] = np.fromiter((lgamma(tau + 0.5 * i) for i in range(size)), float, size)
+        return table[counts]
 
 
 def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
     """Log marginal likelihood of each state's data, parameters integrated out.
 
     ``states`` is a sequence of ``ArSufficientStats`` or a batch of a
-    trie's nodes.  One call scores the whole batch with one stacked
-    Cholesky factorisation and one stacked solve; each value is
-    bit-identical to scoring its state alone.  Each state keeps its
-    posterior location and residual for ``posterior_ar``.  Raises
-    np.linalg.LinAlgError if a matrix s3 + I is not numerically positive
-    definite.
+    trie's nodes.  One call scores the whole batch with no loop per node:
+    ``_posterior_core`` factors every s3 + I, log det(I + s3) is twice the
+    sum of np.log of the factor's diagonal in column order, lgamma comes
+    from a table of math.lgamma values, and the rest is one array
+    expression.  Each value is bit-identical to scoring its state alone.
+    Each state keeps its posterior location and residual for
+    ``posterior_ar``.  Raises np.linalg.LinAlgError if a matrix s3 + I is
+    not numerically positive definite.
     """
     rows = _as_rows(states)
-    a, loc, d = _posterior_core(rows)
-    # the logs of the Cholesky diagonals, from one flat list, grouped q at a time: one tuple per state
-    logs = map(log, np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).ravel().tolist())
+    n, diag, loc, d = _posterior_core(rows)
+    logs = np.log(diag)
+    half_logdet = logs[0]  # log det(I + s3) / 2
+    for j in range(1, len(logs)):
+        half_logdet = half_logdet + logs[j]
     tau, lam = hp.tau, hp.lam
     prior = tau * log(lam) - lgamma(tau)
-    out = []
-    for n, d_k, diag_logs in zip(rows.cols.sums[rows.ids, 0].tolist(), d.tolist(), zip(*[logs] * a.shape[1])):
-        if n == 0:
-            out.append(0.0)
-            continue
-        logdet = 2.0 * sum(diag_logs)  # log det(I + s3)
-        out.append(
-            -0.5 * (n * LOG_2PI + logdet)
-            + lgamma(tau + 0.5 * n)
-            + prior
-            - (tau + 0.5 * n) * log(lam + 0.5 * d_k)
-        )
+    lgammas = _lgamma_halves(tau, n.astype(np.intp))
+    half_n = 0.5 * n
+    out = -(half_n * LOG_2PI + half_logdet) + lgammas + prior - (tau + half_n) * np.log(lam + 0.5 * d)
+    out[n == 0.0] = 0.0
     if rows is not states:
         for st, loc_k, d_k in zip(states, loc, d.tolist()):
             st.loc, st.resid = loc_k, d_k
-    return out
+    return out.tolist()
 
 
 @dataclass(frozen=True)
@@ -257,7 +292,7 @@ def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     """
     loc, resid = stats.loc, stats.resid
     if loc is None:
-        _, locs, d = _posterior_core(_as_rows([stats]))
+        _, _, locs, d = _posterior_core(_as_rows([stats]))
         loc, resid = locs[0], float(d[0])
     return ArPosterior(mean=loc, ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * resid)
 

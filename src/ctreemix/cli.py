@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="sample a series from a named or file-specified model")
     p_sim.add_argument("--name", default=None, help="builtin spec: sim_1, sim_2, sim_3, arch_sim")
     p_sim.add_argument("--spec", default=None, help="JSON file describing a generative model")
-    p_sim.add_argument("--n", type=int, default=None)
+    p_sim.add_argument("--n", type=int, default=None,
+                       help="samples after the spec's initial segment: the output has N + max(tree depth, order) "
+                            "rows, 302 for --n 300 on sim_1 (default: the builtin's own size, 500 with --spec)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output", "-o", default=None)
     p_sim.set_defaults(func=cmd_simulate)

@@ -71,6 +71,8 @@ def candidate_grid(train: Sequence[float], m: int, thresholds: Optional[Sequence
 
     Every candidate must have m - 1 thresholds, so that all cells share one alphabet.
     """
+    if m < 2:
+        raise ValueError("alphabet size must be >= 2")
     if thresholds is None:
         thresholds = percentile_threshold_grid(train, m, points)
     for thr in thresholds:

@@ -19,6 +19,7 @@ from ctreemix import (
     Quantizer,
     TreeModel,
 )
+from ctreemix._num import LOG_2PI
 from ctreemix.forecasting import RunConfig
 
 from helpers import log_pe_ar_known_variance
@@ -240,6 +241,72 @@ class TestBatchKernel:
             fitted.update(x)
         assert len(calls) >= 100  # every update's refresh went through the counter
         assert prediction_solves <= unseen_contexts
+
+
+class TestCholeskyKernel:
+    """The elementwise factorisation behind log_pe_ar against LAPACK, and its lgamma table."""
+
+    @staticmethod
+    def closed_form(st, hp, logdet, d):
+        n = st.count
+        return (-0.5 * (n * LOG_2PI + logdet) + math.lgamma(hp.tau + 0.5 * n) + hp.tau * math.log(hp.lam)
+                - math.lgamma(hp.tau) - (hp.tau + 0.5 * n) * math.log(hp.lam + 0.5 * d))
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_matches_lapack(self, order, intercept):
+        rng = np.random.default_rng(order + 10 * intercept)
+        hp = ArHyperParams(order=order, intercept=intercept, tau=1.5, lam=0.7)
+        states = []
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            for count in (0, 1, 2):
+                st = ArSufficientStats(hp.dim)
+                for _ in range(count):
+                    ArModel(hp).observe([st], scale * rng.normal(), tuple(scale * rng.normal(size=order)))
+                states.append(st)
+        for st, pe in zip(states, log_pe_ar(states, hp)):
+            a = st.s3 + np.eye(hp.dim)
+            sign, logdet = np.linalg.slogdet(a)
+            loc = np.linalg.solve(a, st.s2)
+            d = max(st.s1 - float(st.s2 @ loc), 0.0)
+            assert sign == 1.0
+            if st.count == 0:
+                assert pe == 0.0 and st.resid == 0.0 and st.loc.tolist() == [0.0] * hp.dim
+                continue
+            # d is s1 less a quadratic form of the same size, so its rounding is relative to s1
+            assert abs(st.resid - d) <= 1e-12 * st.s1
+            # two backward-stable factorisations differ by up to cond(s3 + I) times their rounding, in loc
+            # and in log det: cond is about 1 + count * dim * scale^2, 1e6 and more at scale 1e3
+            kappa = np.linalg.cond(a)
+            assert np.abs(st.loc - loc).max() <= 1e-12 * kappa * np.abs(loc).max()
+            assert abs(pe - self.closed_form(st, hp, logdet, st.resid)) <= 1e-12 * kappa * abs(pe)
+
+    def test_pivot_below_zero_raises(self):
+        st = ArSufficientStats(1)
+        st.count, st.s1, st.s2, st.s3 = 1, 1.0, np.array([1.0]), np.array([[-2.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            log_pe_ar([st], HP1)
+
+    def test_nan_pivot_gives_nan(self):
+        # a series that overflows float64 reaches the fit's "overflows float64" error, not a LinAlgError
+        st = ArSufficientStats(1)
+        st.count, st.s1, st.s2, st.s3 = 1, 1.0, np.array([1.0]), np.array([[np.nan]])
+        assert math.isnan(log_pe_ar([st], HP1)[0])
+
+    def test_lgamma_table_is_math_lgamma(self):
+        # two tau values in one process, then a count larger than any scored before
+        for tau in (0.75, 3.25):
+            hp = ArHyperParams(order=1, tau=tau)
+            for count in (1, 7, 100_001):
+                st = ArSufficientStats(1)
+                st.count, st.s1, st.s2, st.s3 = count, 2.0 * count, np.array([0.5 * count]), np.array([[1.0 * count]])
+                log_pe_ar([st], hp)
+                table = ar._LGAMMA[tau]
+                assert len(table) > count
+                assert table.tolist() == [math.lgamma(tau + 0.5 * i) for i in range(len(table))]
+                a = st.s3 + 1.0
+                assert log_pe_ar([st], hp)[0] == pytest.approx(
+                    self.closed_form(st, hp, math.log(a[0, 0]), st.s1 - st.s2[0] ** 2 / a[0, 0]), rel=1e-12)
 
 
 class TestKnownVariance:

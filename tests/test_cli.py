@@ -45,6 +45,15 @@ def test_simulate_unknown_name(tmp_path, capsys):
     assert "unknown spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, rows", [("sim_1", 302), ("sim_3", 305), ("arch_sim", 302)])
+def test_simulate_writes_n_rows_after_the_initial_segment(tmp_path, capsys, name, rows):
+    assert rows == 300 + builtin_specs()[name].spec.init_len
+    with open(simulate_csv(tmp_path, name=name, n=300)) as fh:
+        assert len(fh.read().splitlines()) == rows + 1  # the header
+    assert run(["simulate", "--name", name, "--n", "300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+
+
 def test_fit_recovers_structure(tmp_path):
     data = simulate_csv(tmp_path, n=1000, seed=3)
     out = tmp_path / "model.json"
@@ -279,6 +288,17 @@ def test_rejected_configurations(tmp_path, capsys, args, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     assert run([args[0], str(data), *args[1:]]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["fit", "--thresholds", "0", "--order", "2"],
+    ["fit", "--auto-thresholds", "--order", "2"],
+    ["evidence-grid", "--threshold-candidates=0;0.5", "--max-order", "2"],
+], ids=["fit", "auto", "grid"])
+def test_alphabet_below_two_is_named(tmp_path, capsys, args):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    assert run([args[0], str(data), "--alphabet", "1", *args[1:]]) == 1
+    assert capsys.readouterr().err == "error: alphabet size must be >= 2\n"
 
 
 @pytest.mark.parametrize("points, message", [
