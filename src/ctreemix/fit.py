@@ -118,8 +118,9 @@ def _ingest(series: Sequence[float], model, quantizer: Quantizer, depth: int, be
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains non-finite values")
     fitted = FittedModel(model, quantizer, depth, beta)
-    _check_initial_segment(len(series), fitted.init_len)
     n, init = len(series), fitted.init_len
+    if n < init:
+        raise ValueError(f"series of length {n} is shorter than the initial segment of {init} samples")
     # Sample i's context is (sym[i-1], ..., sym[i-depth]) and its lags are
     # (series[i-1], ..., series[i-order]); column d of either is a shifted slice.
     symbols = quantizer.code(series)
@@ -132,11 +133,6 @@ def _ingest(series: Sequence[float], model, quantizer: Quantizer, depth: int, be
     fitted._history.extend(series[n - model.order :].tolist())
     fitted._symbols.extend(symbols[n - depth :].tolist())
     return fitted
-
-
-def _check_initial_segment(n: int, init_len: int) -> None:
-    if n < init_len:
-        raise ValueError(f"series of length {n} is shorter than the initial segment of {init_len} samples")
 
 
 def _sweep(trie: ContextTrie) -> float:

@@ -64,6 +64,10 @@ class RunConfig:
             raise ValueError("kind must be 'ar' or 'arch'")
         if self.intercept and self.kind != "ar":
             raise ValueError("an intercept applies to ar leaves only")
+        if (self.tau, self.lam) != (RunConfig.tau, RunConfig.lam) and self.kind != "ar":
+            raise ValueError("tau and lam apply to ar leaves only")
+        if self.fisher_iters != RunConfig.fisher_iters and self.kind != "arch":
+            raise ValueError("fisher_iters applies to arch leaves only")
 
     def make_model(self, order: Optional[int] = None):
         p = self.order if order is None else order

@@ -114,6 +114,10 @@ def tree_to_doc(tree: TreeModel, leaf_params: dict[tuple[int, ...], dict]) -> di
     return rec(())
 
 
+def _transform_doc(transform: Optional[TransformSpec]) -> Optional[dict]:
+    return None if transform is None else {"kind": transform.kind, "first_value": transform.first_value}
+
+
 def model_document(
     fitted,
     config: RunConfig,
@@ -131,7 +135,7 @@ def model_document(
         "log_evidence": float(fitted.log_evidence()),
         "map_posterior": float(fitted.map_posterior()),
         "tree": tree_to_doc(tree, fitted.leaf_parameters(tree)),
-        "transform": None if transform is None else {"kind": transform.kind, "first_value": transform.first_value},
+        "transform": _transform_doc(transform),
         "seed": seed,
     }
     if selection_table is not None:
@@ -162,7 +166,7 @@ def report_to_doc(report: EvalReport, *, seed: Optional[int] = None,
         "map_posterior": float(report.map_posterior),
         "log_evidence": float(report.log_evidence),
         "leaf_params": report.leaf_params,
-        "transform": None if transform is None else {"kind": transform.kind, "first_value": transform.first_value},
+        "transform": _transform_doc(transform),
         "seed": seed,
     }
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fit import _check_initial_segment, _ingest, _sweep
+from .fit import _ingest, _sweep
 from .quantizer import Quantizer
 
 
@@ -109,40 +109,34 @@ def select_hyperparams(
 
     `model_factory(order)` must return a fresh leaf model of that order.
     Every cell scores the samples after the first init = max(depth, largest
-    order), at most len(train), so each cell equals a separate fit of
-    order p on train[init - max(depth, p):].  The training series is
-    ingested once per threshold set, at the largest order whose initial
-    segment fits it; each order is then scored on that trie with its
-    store narrowed to the order's lags, which gives the same sums, bit for
-    bit.  A series shorter than every candidate's initial segment,
-    max(depth, smallest order), raises one ValueError before any fit; a
-    longer order fails alone.  Candidates that fail numerically are
-    recorded with -inf evidence (a failed ingest in every cell of its
-    threshold set); if all fail a RuntimeError is raised.  The table lists
-    the orders in increasing order, each over the sorted thresholds.
+    order), so each cell equals a separate fit of order p on
+    train[init - max(depth, p):].  A series shorter than init raises one
+    ValueError before any fit.  The training series is ingested once per
+    threshold set, at the largest order; each order is then scored on that
+    trie with its store narrowed to the order's lags, which gives the same
+    sums, bit for bit.  Candidates that fail numerically are recorded with
+    -inf evidence (a failed ingest in every cell of its threshold set); if
+    all fail a RuntimeError is raised.  The table lists the orders in
+    increasing order, each over the sorted thresholds.
     """
-    shortest = max(depth, min(grid.orders))
-    if len(train) < shortest:
-        raise ValueError(f"series of length {len(train)} is shorter than the initial segment of {shortest} "
-                         "samples that every grid candidate needs (max of depth and smallest order)")
-    init = min(max(depth, *grid.orders), len(train))
-    widest = max(order for order in grid.orders if max(depth, order) <= len(train))
+    init, largest = max(depth, *grid.orders), max(grid.orders)
+    if len(train) < init:
+        raise ValueError(f"series of length {len(train)} is shorter than the initial segment of {init} "
+                         "samples that every grid candidate needs (max of depth and largest order)")
     orders, thresholds = sorted(grid.orders), sorted(grid.thresholds)
     cells: dict[tuple[tuple[float, ...], int], EvidenceCell] = {}
     for thr in thresholds:
         try:
-            ingested = _ingest(train[init - max(depth, widest):], model_factory(widest), Quantizer(thr), depth,
-                               beta).trie
+            ingested = _ingest(train, model_factory(largest), Quantizer(thr), depth, beta).trie
         except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
             cells.update(((thr, order), EvidenceCell(thr, order, float("-inf"), error=str(exc)))
                          for order in orders)
             continue
         for order in orders:
             try:
-                _check_initial_segment(len(train), max(depth, order))
                 # the ingested trie scores its own order; a narrowed one is dropped once swept
                 cells[thr, order] = EvidenceCell(thr, order, _sweep(
-                    ingested if order == widest else ingested._narrowed(model_factory(order), order)))
+                    ingested if order == largest else ingested._narrowed(model_factory(order), order)))
             except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:
                 cells[thr, order] = EvidenceCell(thr, order, float("-inf"), error=str(exc))
         del ingested  # before the next threshold set's ingest

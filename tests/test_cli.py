@@ -195,34 +195,49 @@ def test_evidence_grid_finds_truth(tmp_path, capsys):
 
 
 def test_failed_grid_cell_reports_its_error(tmp_path):
-    # 12 samples: orders up to 12 fit, order 13 needs a longer initial segment than the series
-    data = tmp_path / "short.csv"
-    sio.write_series_csv(np.random.default_rng(0).normal(size=12), str(data))
-    flags = ["--thresholds", "0", "--depth", "2", "--max-order", "13"]
+    # only order 3 takes x[0] as a lag of the first scored sample, and its square overflows float64
+    x = np.random.default_rng(0).normal(size=60)
+    x[0] = 1e200
+    data = tmp_path / "spike.csv"
+    sio.write_series_csv(x, str(data))
+    flags = ["--thresholds", "0", "--depth", "3", "--max-order", "3"]
     grid, model = tmp_path / "grid.csv", tmp_path / "model.json"
     assert run(["evidence-grid", str(data), *flags, "-o", str(grid)]) == 0
     with open(grid, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [row["order"] for row in rows] == [str(k) for k in range(1, 14)]
-    assert [row["error"] for row in rows[:-1]] == [""] * 12
-    assert rows[-1]["log_evidence"] == "-inf" and "shorter than the initial segment" in rows[-1]["error"]
+    failed = "log evidence is nan: the series overflows float64 in the fit; rescale it"
+    assert [row["order"] for row in rows] == ["1", "2", "3"]
+    assert [row["error"] for row in rows] == ["", "", failed]
+    assert rows[-1]["log_evidence"] == "-inf" and rows[-1]["neg_log2_evidence"] == ""
+    assert all(float(row["log_evidence"]) < 0.0 for row in rows[:-1])
     assert run(["fit", str(data), *flags, "-o", str(model)]) == 0
-    selection = json.loads(model.read_text())["selection"]
-    assert [cell["error"] for cell in selection[:-1]] == [None] * 12
-    assert all(isinstance(cell["log_evidence"], float) for cell in selection[:-1])
-    assert selection[-1]["log_evidence"] is None and "shorter than the initial segment" in selection[-1]["error"]
+    doc = json.loads(model.read_text())
+    assert [cell["error"] for cell in doc["selection"]] == [None, None, failed]
+    assert all(isinstance(cell["log_evidence"], float) for cell in doc["selection"][:-1])
+    assert doc["selection"][-1]["log_evidence"] is None and doc["order"] in (1, 2)
 
 
-@pytest.mark.parametrize("command", [
-    ["evidence-grid", "--max-order", "2"], ["sample-trees", "--auto-thresholds"], ["fit", "--auto-thresholds"],
-], ids=["evidence-grid", "sample-trees", "fit"])
-def test_series_shorter_than_every_initial_segment_fails_before_the_grid(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, n, need", [
+    pytest.param(["evidence-grid", "--max-order", "2"], 8, 10, id="evidence-grid"),
+    pytest.param(["sample-trees", "--auto-thresholds"], 8, 10, id="sample-trees"),
+    pytest.param(["fit", "--auto-thresholds"], 8, 10, id="fit"),
+    # these series hold the smaller orders' initial segments, but no cell may score an empty series
+    pytest.param(["evidence-grid", "--depth", "2", "--max-order", "13"], 12, 13, id="evidence-grid-12-of-13"),
+    pytest.param(["sample-trees", "--auto-thresholds", "--depth", "2", "--max-order", "13"], 12, 13,
+                 id="sample-trees-12-of-13"),
+    pytest.param(["fit", "--auto-thresholds", "--depth", "2", "--max-order", "13"], 12, 13, id="fit-12-of-13"),
+    pytest.param(["evidence-grid", "--depth", "2", "--max-order", "45"], 40, 45, id="evidence-grid-40-of-45"),
+    pytest.param(["sample-trees", "--auto-thresholds", "--depth", "2", "--max-order", "45"], 40, 45,
+                 id="sample-trees-40-of-45"),
+    pytest.param(["fit", "--auto-thresholds", "--depth", "2", "--max-order", "45"], 40, 45, id="fit-40-of-45"),
+])
+def test_series_shorter_than_every_initial_segment_fails_before_the_grid(tmp_path, capsys, command, n, need):
     data = tmp_path / "short.csv"
-    sio.write_series_csv(np.random.default_rng(0).normal(size=8), str(data))
+    sio.write_series_csv(np.random.default_rng(0).normal(size=n), str(data))
     out = tmp_path / "out"
     assert run([command[0], str(data), *command[1:], "--grid-points", "3", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: series of length 8 is shorter than the initial segment of 10 samples "
-                                       "that every grid candidate needs (max of depth and smallest order)\n")
+    assert capsys.readouterr().err == (f"error: series of length {n} is shorter than the initial segment of {need} "
+                                       "samples that every grid candidate needs (max of depth and largest order)\n")
     assert not out.exists()
 
 

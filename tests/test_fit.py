@@ -139,3 +139,17 @@ def test_fit_rejects_non_finite_with_same_error():
     series[50] = math.nan
     with pytest.raises(ValueError, match="non-finite"):
         fit_series(series, small_ar_model(2), Quantizer((0.0,)), 4)
+
+
+def test_fit_rejects_a_two_dimensional_series():
+    with pytest.raises(ValueError, match=r"^series must be one-dimensional$"):
+        fit_series(np.zeros((20, 2)), small_ar_model(1), Quantizer((0.0,)), 2)
+
+
+def test_sample_trees_equals_one_draw_at_a_time():
+    fitted = fit_series(generate(SIM_2, 300, seed=4), small_ar_model(1), Quantizer((-0.3, 0.3)), 4)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    trees = fitted.sample_trees(200, rng)
+    assert len(set(trees)) > 10
+    assert trees == [fitted.trie.sample_tree(ref) for _ in range(200)]
+    assert rng.random() == ref.random()  # the same uniforms were used up

@@ -53,6 +53,17 @@ class TestIngest:
             sio.ingest_csv(str(p))
 
 
+    @pytest.mark.parametrize("text, column, match", [
+        ("1,10\n2\n3,30\n", 1, r"line 2: no column 1$"),
+        ("value\n", None, r"no data rows$"),
+    ], ids=["column-past-a-row", "header-only"])
+    def test_rejected_shapes(self, tmp_path, text, column, match):
+        p = tmp_path / "g.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            sio.ingest_csv(str(p), column)
+
+
 class TestTransforms:
     def test_diff(self):
         out, spec = sio.apply_transform([1.0, 2.0, 4.0], "diff")
@@ -122,6 +133,17 @@ class TestDocuments:
         text = sio.dumps_canonical(sio.model_document(fitted, config))
         # a beta left at None is stored as the value it resolved to
         assert RunConfig.from_document(json.loads(text)) == replace(config, beta=fitted.beta)
+
+    @pytest.mark.parametrize("kind, knob, match", [
+        ("arch", {"tau": 2.0}, "tau and lam apply to ar leaves only"),
+        ("arch", {"lam": 0.5}, "tau and lam apply to ar leaves only"),
+        ("ar", {"fisher_iters": 5}, "fisher_iters applies to arch leaves only"),
+        ("arch", {"intercept": True}, "an intercept applies to ar leaves only"),
+    ], ids=["arch-tau", "arch-lam", "ar-fisher-iters", "arch-intercept"])
+    def test_config_rejects_the_other_familys_knobs(self, kind, knob, match):
+        # to_document would write such a knob as null, so the round trip would lose it
+        with pytest.raises(ValueError, match=match):
+            RunConfig(kind=kind, thresholds=(0.0,), order=2, **knob)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d.pop("depth"), "'depth'"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctreemix import ArModel, Quantizer, builtin_specs, fit_series, generate
+from ctreemix import selection
 from ctreemix.forecasting import RunConfig
 from ctreemix.selection import (
     SelectionGrid,
@@ -127,13 +128,12 @@ def test_every_cell_scores_the_same_samples():
         assert cell.log_evidence == fitted.log_evidence()
 
 
-def test_an_order_longer_than_the_series_fails_alone():
+def test_an_order_longer_than_the_series_fails_before_any_ingest(monkeypatch):
     series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:8]
-    res = select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
-    cells = {cell.order: cell for cell in res.table}
-    scored_after_init = fit_series(series[6:], ar_factory()(1), Quantizer((0.0,)), 2)  # init min(9, 8): none scored
-    assert cells[1].error is None and cells[1].log_evidence == scored_after_init.log_evidence()
-    assert "shorter than the initial segment of 9" in cells[9].error
+    monkeypatch.setattr(selection, "_ingest", lambda *args: pytest.fail("the series was ingested"))
+    with pytest.raises(ValueError, match=r"^series of length 8 is shorter than the initial segment of 9 samples "
+                                         r"that every grid candidate needs \(max of depth and largest order\)$"):
+        select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
 
 
 @pytest.mark.parametrize("kind, intercept, depth", [

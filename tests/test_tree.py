@@ -478,3 +478,40 @@ class TestTreesFromTheTrie:
         for tree in trees:
             checked = TreeModel(tree.m, tree.leaves)
             assert tree == checked and hash(tree) == hash(checked) and tree.leaves == checked.leaves
+
+
+def _fresh_trie() -> ContextTrie:
+    return ContextTrie(small_ar_model(1), 2, 2, 0.5)
+
+
+def _observed_trie() -> ContextTrie:
+    """A fresh trie with one sample routed in, not swept."""
+    trie = _fresh_trie()
+    trie.observe(0.5, (0, 1), (0.1,))
+    return trie
+
+
+BATCH_X, BATCH_LAGS = np.array([0.1, 0.2]), np.zeros((2, 1))
+BATCH_CONTEXTS = [np.array([0, 1]), np.array([1, 0])]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: _fresh_trie().observe(0.5, (0,), (0.1,)),
+                 ValueError, r"^context length 1 != depth 2$", id="observe-context-length"),
+    pytest.param(lambda: _observed_trie().observe_all(BATCH_CONTEXTS, BATCH_X, BATCH_LAGS),
+                 RuntimeError, r"^observe_all needs a trie that has observed nothing$", id="observe-all-after-observe"),
+    pytest.param(lambda: _fresh_trie().observe_all(BATCH_CONTEXTS[:1], BATCH_X, BATCH_LAGS),
+                 ValueError, r"^1 context columns != depth 2$", id="observe-all-columns"),
+    pytest.param(lambda: _fresh_trie().observe_all([np.array([0, 2]), np.array([1, 0])], BATCH_X, BATCH_LAGS),
+                 ValueError, r"^context symbol outside alphabet of size 2$", id="observe-all-symbol"),
+    pytest.param(lambda: _observed_trie().refresh_path([0]),
+                 RuntimeError, r"^refresh_path needs an initial full_sweep\(\)$", id="refresh-path-before-sweep"),
+    pytest.param(lambda: _observed_trie().log_evidence(),
+                 RuntimeError, r"^run full_sweep\(\) \(or refresh_path\) before querying$",
+                 id="log-evidence-before-sweep"),
+    pytest.param(lambda: fit(random_mixture_series(1, n=20)).trie.posterior_of(TreeModel(3, ((),))),
+                 ValueError, r"^alphabet size mismatch$", id="posterior-of-other-alphabet"),
+])
+def test_trie_guards(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
