@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from collections import Counter
@@ -19,7 +20,7 @@ from .forecasting import _NUMBER, RunConfig, _doc_field, rolling_forecast
 from .quantizer import Quantizer
 from .selection import SelectionGrid, candidate_grid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
-from .tree import TreeModel
+from .tree import TreeModel, check_labelled_alphabet, context_label
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -89,15 +90,15 @@ def _model_flags_given(args) -> list[str]:
 
 
 def _check_train_len(train_len: int, depth: int, orders) -> None:
-    """Reject a training prefix shorter than the initial segment, max(depth, largest order)."""
-    if train_len < max(depth, *orders):
-        raise ValueError(f"--split/--test-last leaves {train_len} training samples, fewer than the initial "
-                         f"segment of {max(depth, *orders)} (max of depth and largest order)")
+    """Reject a training prefix that leaves no sample to score after the initial segment, max(depth, largest order)."""
+    if train_len <= max(depth, *orders):
+        raise ValueError(f"--split/--test-last leaves {train_len} training samples, no more than the initial "
+                         f"segment of {max(depth, *orders)} (max of depth and largest order), so none is scored")
 
 
 def _resolve_config(args, train, split: bool) -> tuple[RunConfig, Optional[list]]:
     """Thresholds/order from flags, running the evidence grid search if either is open.  With split,
-    train is the prefix --split/--test-last cut, which must hold the initial segment."""
+    train is the prefix --split/--test-last cut, which must be longer than the initial segment."""
     if args.thresholds is not None and args.auto_thresholds:
         raise ValueError("--thresholds and --auto-thresholds are mutually exclusive")
     if args.thresholds is None and not args.auto_thresholds:
@@ -156,6 +157,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    check_labelled_alphabet(args.alphabet)  # --from-model's alphabet is checked by rolling_forecast
     series, tspec = _load_series(args)
     train_len = _train_len(args, len(series))
     if args.from_model:
@@ -200,13 +202,14 @@ def cmd_simulate(args) -> int:
 def cmd_sample_trees(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    check_labelled_alphabet(args.alphabet)
     series, tspec = _load_series(args)
     cfg, _ = _resolve_config(args, series, split=False)
     fitted = fit_series(series, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
-    rng = np.random.default_rng(args.seed)
-    counts = Counter(fitted.trie.sample_tree(rng) for _ in range(args.count))
+    counts = Counter(fitted.sample_trees(args.count, np.random.default_rng(args.seed)))
+    labels = {leaf: context_label(leaf) for leaf in {leaf for tree in counts for leaf in tree.leaves}}
     rows = [{
-        "leaves": ["".join(map(str, leaf)) for leaf in tree.leaves],
+        "leaves": [labels[leaf] for leaf in tree.leaves],
         "count": c,
         "frequency": c / args.count,
         "posterior": fitted.posterior_of(tree),
@@ -270,7 +273,9 @@ def parse_generative_spec(doc: dict) -> GenerativeSpec:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ctreemix",
         description="Context-tree mixture models for real-valued time series.",
@@ -285,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit on the training prefix only (<1: fraction, >=1: count)")
     p_fit.add_argument("--test-last", type=int, default=None, help="train on all but the last N samples")
     p_fit.add_argument("--output", "-o", default=None)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_fc = sub.add_parser("forecast", help="rolling one-step evaluation over a test split")
     p_fc.add_argument("input")
@@ -297,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--from-model", default=None, help="take the configuration from a fit document")
     p_fc.add_argument("--records", default=None, help="write per-step CSV here")
     p_fc.add_argument("--output", "-o", default=None)
-    p_fc.set_defaults(func=cmd_forecast)
 
     p_sim = sub.add_parser("simulate", help="sample a series from a named or file-specified model")
     p_sim.add_argument("--name", default=None, help="builtin spec: sim_1, sim_2, sim_3, arch_sim")
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "rows, 302 for --n 300 on sim_1 (default: the builtin's own size, 500 with --spec)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--output", "-o", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_st = sub.add_parser("sample-trees", help="draw posterior tree samples with frequencies")
     p_st.add_argument("input")
@@ -315,23 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_series_flags(p_st)
     p_st.add_argument("--count", type=int, default=1000)
     p_st.add_argument("--output", "-o", default=None)
-    p_st.set_defaults(func=cmd_sample_trees)
 
     p_eg = sub.add_parser("evidence-grid", help="evidence table over threshold/order candidates")
     p_eg.add_argument("input")
     _add_model_flags(p_eg)
     _add_series_flags(p_eg)
     p_eg.add_argument("--output", "-o", default=None)
-    p_eg.set_defaults(func=cmd_evidence_grid)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call, so a rebinding takes effect
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -75,7 +75,7 @@ class FittedModel:
         return self.trie.posterior_of(tree)
 
     def sample_trees(self, k: int, rng: np.random.Generator) -> list[TreeModel]:
-        return [self.trie.sample_tree(rng) for _ in range(k)]
+        return self.trie.sample_trees(k, rng)
 
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""

@@ -20,7 +20,7 @@ from .ar import ArHyperParams, ArModel
 from .arch import ArchConfig, ArchModel
 from .fit import fit_series
 from .quantizer import Quantizer
-from .tree import TreeModel, default_beta
+from .tree import TreeModel, check_labelled_alphabet, context_label, default_beta
 
 
 _NUMBER = (int, float)
@@ -146,7 +146,11 @@ def rolling_forecast(
     config: RunConfig,
     train_len: Optional[int] = None,
 ) -> EvalReport:
-    """Fit on the first train_len samples (default: half), then walk the rest one step at a time."""
+    """Fit on the first train_len samples (default: half), then walk the rest one step at a time.
+
+    The report labels each leaf with ``context_label``, so an alphabet above 10 is rejected first.
+    """
+    check_labelled_alphabet(len(config.thresholds) + 1)
     series = np.asarray(series, dtype=float)
     n = len(series)
     split = n // 2 if train_len is None else train_len
@@ -174,5 +178,5 @@ def rolling_forecast(
         map_posterior=fitted.map_posterior(),
         log_evidence=fitted.log_evidence(),
         train_len=split,
-        leaf_params={"".join(map(str, k)): v for k, v in fitted.leaf_parameters().items()},
+        leaf_params={context_label(k): v for k, v in fitted.leaf_parameters().items()},
     )

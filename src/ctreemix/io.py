@@ -11,7 +11,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .forecasting import EvalReport, RunConfig
-from .tree import TreeModel
+from .tree import TreeModel, context_label
 
 TRANSFORMS = ("none", "diff", "logdiff", "logret10")
 SCHEMA_VERSION = 1
@@ -29,16 +29,18 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
     """Read one numeric column from a CSV file, in file order.
 
     The first row is treated as a header iff it is non-numeric.  `column`
-    may be an index or a header name; default is the last column.  Rows with
-    non-numeric or non-finite cells are rejected with their line number.
+    may be an index or a header name; default is the last column.  Blank
+    rows are skipped.  Rows with non-numeric or non-finite cells are rejected
+    with the file line on which the row ends.
     """
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]  # each row's file line
     if not rows:
         raise ValueError(f"{path}: empty file")
     header: Optional[list[str]] = None
-    if all(_to_float(c) is None for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
+    if all(_to_float(c) is None for c in rows[0][1]):
+        header = [c.strip() for c in rows[0][1]]
         rows = rows[1:]
     if isinstance(column, str):
         if header is None or column not in header:
@@ -49,9 +51,7 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
     else:
         idx = int(column)
     values = []
-    offset = 2 if header is not None else 1
-    for k, row in enumerate(rows):
-        line = k + offset
+    for line, row in rows:
         try:
             cell = row[idx]
         except IndexError:
@@ -162,7 +162,7 @@ def report_to_doc(report: EvalReport, *, seed: Optional[int] = None,
         "order": report.order,
         "train_len": report.train_len,
         "test_len": len(report.records),
-        "map_tree_leaves": ["".join(map(str, leaf)) for leaf in report.map_tree.leaves],
+        "map_tree_leaves": [context_label(leaf) for leaf in report.map_tree.leaves],
         "map_posterior": float(report.map_posterior),
         "log_evidence": float(report.log_evidence),
         "leaf_params": report.leaf_params,

@@ -110,19 +110,20 @@ def select_hyperparams(
     `model_factory(order)` must return a fresh leaf model of that order.
     Every cell scores the samples after the first init = max(depth, largest
     order), so each cell equals a separate fit of order p on
-    train[init - max(depth, p):].  A series shorter than init raises one
-    ValueError before any fit.  The training series is ingested once per
-    threshold set, at the largest order; each order is then scored on that
-    trie with its store narrowed to the order's lags, which gives the same
-    sums, bit for bit.  Candidates that fail numerically are recorded with
+    train[init - max(depth, p):].  A series of at most init samples, which
+    would leave none to score, raises one ValueError before any fit.  The
+    training series is ingested once per threshold set, at the largest
+    order; each order is then scored on that trie with its store narrowed
+    to the order's lags, which gives the same sums, bit for bit.  Candidates that fail numerically are recorded with
     -inf evidence (a failed ingest in every cell of its threshold set); if
     all fail a RuntimeError is raised.  The table lists the orders in
     increasing order, each over the sorted thresholds.
     """
     init, largest = max(depth, *grid.orders), max(grid.orders)
-    if len(train) < init:
-        raise ValueError(f"series of length {len(train)} is shorter than the initial segment of {init} "
-                         "samples that every grid candidate needs (max of depth and largest order)")
+    if len(train) <= init:  # else every cell scores nothing, and its evidence is 0.0
+        raise ValueError(f"series of length {len(train)} is {'shorter' if len(train) < init else 'no longer'} than "
+                         f"the initial segment of {init} samples that every grid candidate needs "
+                         "(max of depth and largest order)")
     orders, thresholds = sorted(grid.orders), sorted(grid.thresholds)
     cells: dict[tuple[tuple[float, ...], int], EvidenceCell] = {}
     for thr in thresholds:

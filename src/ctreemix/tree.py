@@ -95,11 +95,30 @@ import numpy as np
 from ._num import log_add
 
 
+_BLOCK = 4096  # the most uniforms sample_trees reads in one rng.random call
+
+
 def default_beta(m: int) -> float:
     """Default prior mixing weight 1 - 2^(1-m) for alphabet size m."""
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
     return 1.0 - 2.0 ** (-(m - 1))
+
+
+def context_label(context: Sequence[int]) -> str:
+    """A context as text, one digit per symbol, most recent first: "" for the root, "01" for (0, 1).
+
+    The labels are distinct only for alphabets of at most 10 symbols (see
+    ``check_labelled_alphabet``): (1, 0) and (10,) are both "10".
+    """
+    return "".join(map(str, context))
+
+
+def check_labelled_alphabet(m: int) -> None:
+    """Reject an alphabet whose contexts ``context_label`` cannot tell apart."""
+    if m > 10:
+        raise ValueError(f"alphabet size {m} is above 10: leaf labels write one digit per symbol, so the "
+                         "contexts of a larger alphabet would share labels")
 
 
 @dataclass(frozen=True)
@@ -265,7 +284,7 @@ class ContextTrie:
         self._log_pe, self._log_pw, self._log_pm, self._leaf_wins = [], [], [], []
         self._add_values(1)
         self._plan = None  # full_sweep's split of the nodes, made on demand until a node is made
-        self._p_leaf = None  # sample_tree's leaf probabilities, made on demand after each sweep
+        self._p_leaf = None  # the draws' leaf probabilities, made on demand after each sweep
         self._swept = False
         self._ever_swept = False
 
@@ -473,7 +492,7 @@ class ContextTrie:
     def map_tree(self) -> TreeModel:
         """The tree attaining the maximising recursion: the draw in which every choice is certain."""
         self._require_swept()
-        return self._grow(self._leaf_wins, 1, lambda: 0)
+        return self._grow(self._leaf_wins, 1, 1, lambda n: [0.0] * n)[0]  # 0.0 < True, the leaf wins, and < 1
 
     def map_node(self, context: Sequence[int]) -> Optional[_NodeView]:
         """The node of the MAP-tree leaf that prefixes a length-D context, in O(D).
@@ -521,33 +540,75 @@ class ContextTrie:
         return exp(log_joint - self._log_pw[0])
 
     def sample_tree(self, rng) -> TreeModel:
-        """One exact draw from the posterior over trees: each examined node is a leaf with probability
-        beta * P_e / P_w (beta if never observed), computed once per sweep, else opens all m children."""
+        """One exact draw from the posterior over trees: ``sample_trees(1, rng)``."""
+        return self.sample_trees(1, rng)[0]
+
+    def sample_trees(self, k: int, rng) -> list[TreeModel]:
+        """k exact draws from the posterior over trees, equal to k ``sample_tree`` calls.
+
+        Each examined node is a leaf with probability beta * P_e / P_w
+        (beta if never observed), computed once per sweep, else opens all m
+        children.  The uniforms come from ``rng.random(n)`` blocks, which
+        yield the stream of n scalar ``rng.random()`` calls, and a block
+        holds no more uniforms than the draws must still use, so every bit
+        generator ends exactly where the scalar draws would leave it.
+        Equal draws are one ``TreeModel``.
+        """
         self._require_swept()
         if self._p_leaf is None:
             log_beta = self._log_beta
             self._p_leaf = [exp(min(0.0, log_beta + pe - pw)) for pe, pw in zip(self._log_pe, self._log_pw)]
-        return self._grow(self._p_leaf, self.beta, rng.random)
+        return self._grow(self._p_leaf, self.beta, k, lambda n: rng.random(min(n, _BLOCK)).tolist())
 
-    def _grow(self, p_leaf, p_unseen, draw) -> TreeModel:
-        """The top-down pass of ``map_tree`` and ``sample_tree``: a node below depth D is a leaf when
-        ``draw() < p_leaf[node]`` (``p_unseen`` if never observed), else its children 0..m-1 are
-        pushed, so the last is examined first."""
-        kids, max_depth = self._kids, self.depth
-        unseen = [-1] * self.m
-        leaves: list[tuple[int, ...]] = []
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
-        while stack:
-            node, depth, prefix = stack.pop()
-            if depth == max_depth:
-                leaves.append(prefix)
-                continue
-            if draw() < (p_unseen if node < 0 else p_leaf[node]):
-                leaves.append(prefix)
-            else:
-                for j, child in enumerate(unseen if node < 0 else kids[node]):
-                    stack.append((child, depth + 1, prefix + (j,)))
-        return TreeModel._proper(self.m, leaves)
+    def _grow(self, p_leaf, p_unseen, k, uniforms) -> list[TreeModel]:
+        """The top-down pass of ``map_tree`` and the posterior draws, run k times.
+
+        A node below depth D is a leaf when its uniform is below
+        ``p_leaf[node]`` (``p_unseen`` if never observed); else its
+        children 0..m-1 are pushed, so the last is examined first, and at
+        depth D they are leaves of every tree.  ``uniforms(n)`` returns
+        the next 1..n uniforms of the stream; n counts the node at hand,
+        the pending nodes (all above depth D) and one root per later draw,
+        each of which takes one, so no uniform is read past the last one
+        used.  A node's pushed entries are made once per call, and a tree
+        once per distinct draw.
+        """
+        kids, max_depth, m = self._kids, self.depth, self.m
+        if not max_depth:  # the root is the only tree, and takes no uniform
+            return [TreeModel._proper(m, [()])] * k
+        unseen = [-1] * m
+        opened = {}  # the children of each opened node (by id, or by context if never observed)
+        trees = {}  # the one tree of each distinct draw, by its leaves in the order drawn
+        draws: list[TreeModel] = []
+        u, i, n = [], 0, 0
+        for later in range(k - 1, -1, -1):
+            leaves: list[tuple[int, ...]] = []
+            stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+            while stack:
+                node, depth, prefix = stack.pop()
+                if i == n:
+                    u = uniforms(1 + len(stack) + later)
+                    i, n = 0, len(u)
+                if u[i] < (p_unseen if node < 0 else p_leaf[node]):
+                    leaves.append(prefix)
+                else:
+                    depth += 1
+                    key = prefix if node < 0 else node
+                    children = opened.get(key)
+                    if children is None:  # at depth D, the children are leaves of every tree
+                        children = opened[key] = [prefix + (j,) for j in range(m)] if depth == max_depth else [
+                            (child, depth, prefix + (j,)) for j, child in enumerate(unseen if node < 0 else kids[node])]
+                    if depth == max_depth:
+                        leaves += children
+                    else:
+                        stack += children
+                i += 1
+            key = tuple(leaves)
+            tree = trees.get(key)
+            if tree is None:
+                tree = trees[key] = TreeModel._proper(m, leaves)
+            draws.append(tree)
+        return draws
 
     def nodes(self) -> Iterator[tuple[tuple[int, ...], _NodeView]]:
         """(context, node) pairs in depth-first order."""

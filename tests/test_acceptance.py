@@ -296,7 +296,7 @@ def test_c12a_linear_scaling():
     times = {}
     for n in (10_000, 20_000, 40_000):
         best = float("inf")
-        for _ in range(2):
+        for _ in range(5):  # fits of 6-19 ms: the best of 5 keeps a stray pause out of the ratio
             t0 = time.perf_counter()
             fitted = cm.fit_series(series[: n + 2], small_ar_model(2), Q0, 10, None)
             fitted.log_evidence()

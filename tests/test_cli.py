@@ -15,6 +15,7 @@ import pytest
 
 import ctreemix
 from ctreemix import ArLeaf, GenerativeSpec, Quantizer, TreeModel, builtin_specs, generate
+from ctreemix import cli
 from ctreemix import io as sio
 from ctreemix.cli import _train_len, build_parser, main
 
@@ -508,3 +509,67 @@ def test_training_prefix_shorter_than_the_initial_segment(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith("error: --split/--test-last leaves ") and err.count("\n") == 1
     assert f"leaves {train} training samples" in err and f"initial segment of {need}" in err
+
+
+@pytest.mark.parametrize("command, flags, need", [
+    ("fit", ["--thresholds", "0", "--order", "2", "--split", "10"], 10),
+    ("forecast", ["--thresholds", "0", "--depth", "2", "--max-order", "4", "--test-last", "N-4"], 4),
+], ids=["fit-split", "forecast-test-last-grid"])
+def test_training_prefix_of_exactly_the_initial_segment(tmp_path, capsys, command, flags, need):
+    data = simulate_csv(tmp_path, n=600, seed=1)
+    n = len(sio.ingest_csv(str(data)))
+    flags = [str(n - need) if f == "N-4" else f for f in flags]
+    assert run([command, str(data), *flags, "-o", str(tmp_path / "out.json")]) == 1
+    assert capsys.readouterr().err == (f"error: --split/--test-last leaves {need} training samples, no more than the "
+                                       f"initial segment of {need} (max of depth and largest order), so none is scored\n")
+
+
+@pytest.mark.parametrize("command", ["evidence-grid", "sample-trees", "fit"])
+def test_series_of_exactly_the_initial_segment_fails_before_the_grid(tmp_path, capsys, command):
+    # every cell would score zero samples and report a log evidence of 0.0
+    data = tmp_path / "short.csv"
+    sio.write_series_csv(np.random.default_rng(0).normal(size=13), str(data))
+    out = tmp_path / "out"
+    assert run([command, str(data), "--thresholds", "0", "--depth", "2", "--max-order", "13", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: series of length 13 is no longer than the initial segment of 13 samples "
+                                       "that every grid candidate needs (max of depth and largest order)\n")
+    assert not out.exists()
+
+
+def test_main_dispatches_to_the_current_command_binding(tmp_path, monkeypatch):
+    data = simulate_csv(tmp_path, n=120, seed=9)  # an earlier main call: the parser is built
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sample_trees", lambda args: seen.append(args.count) or 0)
+    assert run(["sample-trees", str(data), "--count", "3"]) == 0
+    assert seen == [3]
+    assert build_parser() is build_parser()
+
+
+TEN_THRESHOLDS = "-0.9,-0.7,-0.5,-0.3,-0.1,0.1,0.3,0.5,0.7,0.9"
+ABOVE_TEN = ("error: alphabet size 11 is above 10: leaf labels write one digit per symbol, so the contexts of a "
+             "larger alphabet would share labels\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["sample-trees", "--thresholds=" + TEN_THRESHOLDS, "--order", "1"],
+    ["sample-trees", "--auto-thresholds", "--grid-points", "12"],
+    ["forecast", "--thresholds=" + TEN_THRESHOLDS, "--order", "1"],
+    ["forecast", "--auto-thresholds", "--grid-points", "12"],
+], ids=["sample-trees", "sample-trees-grid", "forecast", "forecast-grid"])
+def test_alphabet_above_ten_fails_before_any_fit(tmp_path, capsys, monkeypatch, args):
+    data = simulate_csv(tmp_path, n=300, seed=9)
+    for name in ("fit_series", "select_hyperparams"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a model was fitted"))
+    assert run([args[0], str(data), "--alphabet", "11", *args[1:]]) == 1
+    assert capsys.readouterr().err == ABOVE_TEN
+
+
+def test_alphabet_above_ten_fits_but_does_not_forecast(tmp_path, capsys):
+    # a model document stores contexts as lists; a forecast report labels them
+    data = simulate_csv(tmp_path, n=300, seed=9)
+    doc = tmp_path / "model.json"
+    assert run(["fit", str(data), "--alphabet", "11", "--thresholds=" + TEN_THRESHOLDS, "--order", "1",
+                "--depth", "2", "-o", str(doc)]) == 0
+    assert json.loads(doc.read_text())["quantizer"]["alphabet_size"] == 11
+    assert run(["forecast", str(data), "--from-model", str(doc), "-o", str(tmp_path / "report.json")]) == 1
+    assert capsys.readouterr().err == ABOVE_TEN

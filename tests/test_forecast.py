@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ctreemix import Quantizer, builtin_specs, fit_series, generate
+from ctreemix import Quantizer, builtin_specs, fit_series, forecasting, generate
 from ctreemix.forecasting import (
     RunConfig,
     gaussian_log_density,
     rolling_forecast,
 )
+from ctreemix.tree import context_label
 
 from helpers import small_ar_model
 
@@ -23,6 +24,15 @@ class TestRollingAr:
         for bad in (0, len(series)):
             with pytest.raises(ValueError, match="no usable train/test data"):
                 rolling_forecast(series, cfg, train_len=bad)
+
+    def test_alphabet_above_ten_fails_before_the_fit(self, monkeypatch):
+        # the report's leaf labels write one digit per symbol: (1, 0) and (10,) would both be "10"
+        monkeypatch.setattr(forecasting, "fit_series", lambda *a, **k: pytest.fail("the series was fitted"))
+        series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
+        cfg = RunConfig(kind="ar", thresholds=tuple(np.linspace(-1.0, 1.0, 10)), order=1, depth=2)
+        with pytest.raises(ValueError, match=r"^alphabet size 11 is above 10: leaf labels write one digit per symbol"):
+            rolling_forecast(series, cfg)
+        assert context_label((1, 0)) == "10" and context_label(()) == ""
 
     def test_record_consistency(self):
         series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)

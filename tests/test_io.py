@@ -44,6 +44,22 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2"):
             sio.ingest_csv(str(p))
 
+    @pytest.mark.parametrize("text, line", [
+        ("value\n1.0\n\n2.0\nabc\n", 5),
+        ("\n\nvalue\n1.0\n , \n\n2.0\nabc\n", 8),
+        ("1.0\n\n\nabc\n3.0\n", 4),
+    ], ids=["blank-row", "blank-rows-and-header", "no-header"])
+    def test_blank_rows_keep_the_file_line(self, tmp_path, text, line):
+        p = tmp_path / "blank.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf": line {line}: non-numeric value 'abc'$"):
+            sio.ingest_csv(str(p))
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("value\n\n1.0\n  \n2.0\n\n")
+        assert sio.ingest_csv(str(p)).tolist() == [1.0, 2.0]
+
     def test_missing_and_empty(self, tmp_path):
         with pytest.raises(OSError):
             sio.ingest_csv(str(tmp_path / "nope.csv"))

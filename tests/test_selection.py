@@ -128,6 +128,15 @@ def test_every_cell_scores_the_same_samples():
         assert cell.log_evidence == fitted.log_evidence()
 
 
+def test_a_series_of_exactly_the_initial_segment_fails_before_any_ingest(monkeypatch):
+    # each cell would score no sample and report a log evidence of 0.0
+    series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:9]
+    monkeypatch.setattr(selection, "_ingest", lambda *args: pytest.fail("the series was ingested"))
+    with pytest.raises(ValueError, match=r"^series of length 9 is no longer than the initial segment of 9 samples "
+                                         r"that every grid candidate needs \(max of depth and largest order\)$"):
+        select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
+
+
 def test_an_order_longer_than_the_series_fails_before_any_ingest(monkeypatch):
     series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:8]
     monkeypatch.setattr(selection, "_ingest", lambda *args: pytest.fail("the series was ingested"))

@@ -230,6 +230,30 @@ class TestSampler:
         assert len(set(got)) > 10
         assert got == [reference_sample_tree(f.trie, ref) for _ in range(300)]
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64])
+    @pytest.mark.parametrize("k", [0, 1, 7, 4500])
+    def test_k_draws_are_k_single_draws(self, bit_generator, k):
+        # 4500 draws read more than one full block of uniforms
+        f = fit_series(generate(builtin_specs()["sim_2"].spec, 300, seed=4), small_ar_model(1),
+                       Quantizer((-0.3, 0.3)), 4)
+        rng, ref, one = (np.random.Generator(bit_generator(11)) for _ in range(3))
+        got = f.trie.sample_trees(k, rng)
+        assert got == [reference_sample_tree(f.trie, ref) for _ in range(k)]
+        assert got == [f.trie.sample_tree(one) for _ in range(k)]
+        assert rng.random() == ref.random() == one.random()  # the generators end in one state
+
+    def test_equal_draws_are_one_object(self):
+        f = fit(random_mixture_series(9, n=30))
+        trees = f.trie.sample_trees(500, np.random.default_rng(3))
+        assert len(set(trees)) < 20
+        assert len({id(t) for t in trees}) == len(set(trees))
+
+    def test_depth_zero_draws_use_no_uniform(self):
+        f = fit(random_mixture_series(8, n=20), depth=0)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        assert f.trie.sample_trees(5, rng) == [TreeModel(2, ((),))] * 5
+        assert rng.random() == ref.random()
+
 
 class TestSequentialUpdates:
     def test_bit_identical_to_fresh_build(self):
