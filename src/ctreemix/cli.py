@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as sio
-from .fit import fit_series
+from .fit import check_training_length, fit_series
 from .forecasting import _NUMBER, RunConfig, _doc_field, rolling_forecast
 from .quantizer import Quantizer
 from .selection import SelectionGrid, candidate_grid, select_hyperparams
@@ -58,8 +58,9 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _grid(args, train) -> SelectionGrid:
-    """Candidate thresholds and orders from the flags (the percentile grid unless given)."""
+def _config_and_grid(args, train) -> tuple[RunConfig, SelectionGrid]:
+    """The run config the flags describe, at the first cell of the candidate grid, and that grid: the
+    given thresholds and order, else the percentile grid and orders 1..--max-order."""
     if args.thresholds is not None and args.threshold_candidates is not None:
         raise ValueError("--thresholds and --threshold-candidates are mutually exclusive")
     if args.thresholds is not None:
@@ -68,17 +69,13 @@ def _grid(args, train) -> SelectionGrid:
         candidates = tuple(_floats(group) for group in args.threshold_candidates.split(";") if group.strip())
     else:
         candidates = None
-    return candidate_grid(train, args.alphabet, candidates, args.order, args.max_order, args.grid_points)
-
-
-def _config(args, grid: SelectionGrid) -> RunConfig:
-    """The run config the flags describe, at the first cell of the grid."""
+    grid = candidate_grid(train, args.alphabet, candidates, args.order, args.max_order, args.grid_points)
     if args.fisher_iters is not None and args.model != "arch":
         raise ValueError("--fisher-iters applies to arch leaves only")
     depth = {"ar": 10, "arch": 5}[args.model] if args.depth is None else args.depth
     fisher_iters = RunConfig.fisher_iters if args.fisher_iters is None else args.fisher_iters
     return RunConfig(kind=args.model, thresholds=grid.thresholds[0], order=grid.orders[0], depth=depth,
-                     beta=args.beta, intercept=args.intercept, fisher_iters=fisher_iters)
+                     beta=args.beta, intercept=args.intercept, fisher_iters=fisher_iters), grid
 
 
 def _model_flags_given(args) -> list[str]:
@@ -89,25 +86,15 @@ def _model_flags_given(args) -> list[str]:
     return ["--" + name.replace("_", "-") for name, value in defaults.items() if getattr(args, name) != value]
 
 
-def _check_train_len(train_len: int, depth: int, orders) -> None:
-    """Reject a training prefix that leaves no sample to score after the initial segment, max(depth, largest order)."""
-    if train_len <= max(depth, *orders):
-        raise ValueError(f"--split/--test-last leaves {train_len} training samples, no more than the initial "
-                         f"segment of {max(depth, *orders)} (max of depth and largest order), so none is scored")
-
-
-def _resolve_config(args, train, split: bool) -> tuple[RunConfig, Optional[list]]:
-    """Thresholds/order from flags, running the evidence grid search if either is open.  With split,
-    train is the prefix --split/--test-last cut, which must be longer than the initial segment."""
+def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
+    """Thresholds/order from flags, running the evidence grid search on train if either is open."""
     if args.thresholds is not None and args.auto_thresholds:
         raise ValueError("--thresholds and --auto-thresholds are mutually exclusive")
     if args.thresholds is None and not args.auto_thresholds:
         raise ValueError("give --thresholds or --auto-thresholds")
-    grid = _grid(args, train)
-    cfg = _config(args, grid)
-    if split:
-        _check_train_len(len(train), cfg.depth, grid.orders)
+    cfg, grid = _config_and_grid(args, train)
     if args.thresholds is not None and args.order is not None:
+        check_training_length(len(train), cfg.depth, grid.orders)
         return cfg, None
     result = select_hyperparams(train, grid, cfg.make_model, cfg.depth, cfg.beta)
     return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
@@ -115,7 +102,7 @@ def _resolve_config(args, train, split: bool) -> tuple[RunConfig, Optional[list]
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        with open(output, "w") as fh:
+        with open(output, "w", newline="") as fh:  # the text's own line ends: series_csv's CRLF
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -149,7 +136,7 @@ def cmd_fit(args) -> int:
     series, tspec = _load_series(args)
     split = args.split is not None or args.test_last is not None
     train = series[: _train_len(args, len(series), need_test=False)] if split else series
-    cfg, table = _resolve_config(args, train, split)
+    cfg, table = _resolve_config(args, train)
     fitted = fit_series(train, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     doc = sio.model_document(fitted, cfg, transform=tspec, seed=args.seed, selection_table=table)
     _emit(sio.dumps_canonical(doc), args.output)
@@ -167,9 +154,9 @@ def cmd_forecast(args) -> int:
                              "which takes the model from its document")
         with open(args.from_model) as fh:
             cfg = RunConfig.from_document(json.loads(fh.read()))
-        _check_train_len(train_len, cfg.depth, (cfg.order,))
+        check_training_length(train_len, cfg.depth, (cfg.order,))
     else:
-        cfg, _ = _resolve_config(args, series[:train_len], split=True)
+        cfg, _ = _resolve_config(args, series[:train_len])
     report = rolling_forecast(series, cfg, train_len=train_len)
     _emit(sio.dumps_canonical(sio.report_to_doc(report, seed=args.seed, transform=tspec)), args.output)
     if args.records:
@@ -191,11 +178,7 @@ def cmd_simulate(args) -> int:
             spec = parse_generative_spec(json.load(fh))
         default_n = 500
     n = args.n if args.n is not None else default_n
-    series = generate(spec, n, args.seed)
-    if args.output:
-        sio.write_series_csv(series, args.output)
-    else:
-        sys.stdout.write("value\n" + "".join(f"{float(v)!r}\n" for v in series))
+    _emit(sio.series_csv(generate(spec, n, args.seed)), args.output)
     return 0
 
 
@@ -204,7 +187,7 @@ def cmd_sample_trees(args) -> int:
         raise ValueError(f"--count must be at least 1, got {args.count}")
     check_labelled_alphabet(args.alphabet)
     series, tspec = _load_series(args)
-    cfg, _ = _resolve_config(args, series, split=False)
+    cfg, _ = _resolve_config(args, series)
     fitted = fit_series(series, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     counts = Counter(fitted.sample_trees(args.count, np.random.default_rng(args.seed)))
     labels = {leaf: context_label(leaf) for leaf in {leaf for tree in counts for leaf in tree.leaves}}
@@ -221,8 +204,7 @@ def cmd_sample_trees(args) -> int:
 
 def cmd_evidence_grid(args) -> int:
     series, tspec = _load_series(args)
-    grid = _grid(args, series)
-    cfg = _config(args, grid)
+    cfg, grid = _config_and_grid(args, series)
     result = select_hyperparams(series, grid, cfg.make_model, cfg.depth, cfg.beta)
     text = StringIO()
     writer = csv.writer(text, lineterminator="\n")
@@ -303,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc.add_argument("--output", "-o", default=None)
 
     p_sim = sub.add_parser("simulate", help="sample a series from a named or file-specified model")
-    p_sim.add_argument("--name", default=None, help="builtin spec: sim_1, sim_2, sim_3, arch_sim")
+    p_sim.add_argument("--name", default=None, help="builtin spec: " + "; ".join(
+        f"{name} ({named.note})" for name, named in builtin_specs().items()))
     p_sim.add_argument("--spec", default=None, help="JSON file describing a generative model")
     p_sim.add_argument("--n", type=int, default=None,
                        help="samples after the spec's initial segment: the output has N + max(tree depth, order) "

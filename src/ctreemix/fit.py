@@ -110,6 +110,15 @@ def fit_series(
     return fitted
 
 
+def check_training_length(n: int, depth: int, orders: Sequence[int]) -> None:
+    """Reject a training series of n samples that the initial segment, max(depth, largest order), would
+    consume whole: it would score no sample and report a log evidence of 0.0 over nothing."""
+    init = max(depth, *orders)
+    if n <= init:
+        raise ValueError(f"training series of length {n} is {'shorter' if n < init else 'no longer'} than the "
+                         f"initial segment of {init} samples (max of depth and largest order), so none is scored")
+
+
 def _ingest(series: Sequence[float], model, quantizer: Quantizer, depth: int, beta: Optional[float]) -> FittedModel:
     """A model whose trie holds every sample after the initial segment, not yet swept."""
     series = np.asarray(series, dtype=float)

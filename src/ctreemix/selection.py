@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fit import _ingest, _sweep
+from .fit import _ingest, _sweep, check_training_length
 from .quantizer import Quantizer
 
 
@@ -111,28 +111,29 @@ def select_hyperparams(
     Every cell scores the samples after the first init = max(depth, largest
     order), so each cell equals a separate fit of order p on
     train[init - max(depth, p):].  A series of at most init samples, which
-    would leave none to score, raises one ValueError before any fit.  The
-    training series is ingested once per threshold set, at the largest
-    order; each order is then scored on that trie with its store narrowed
-    to the order's lags, which gives the same sums, bit for bit.  Candidates that fail numerically are recorded with
-    -inf evidence (a failed ingest in every cell of its threshold set); if
-    all fail a RuntimeError is raised.  The table lists the orders in
-    increasing order, each over the sorted thresholds.
+    would leave none to score, fails ``check_training_length`` before any
+    fit.  The training series is ingested once per threshold set, at the
+    largest order; each order is then scored on that trie with its store
+    narrowed to the order's lags, which gives the same sums, bit for bit.
+    A failure of one candidate, thresholds that ``Quantizer`` rejects (in
+    every cell of that set) or a cell's sweep failing numerically, is
+    recorded with -inf evidence; if all cells fail a RuntimeError is
+    raised.  A bad series, depth, beta or order fails the whole run with its
+    own ValueError.  The table lists the orders in increasing order, each
+    over the sorted thresholds.
     """
-    init, largest = max(depth, *grid.orders), max(grid.orders)
-    if len(train) <= init:  # else every cell scores nothing, and its evidence is 0.0
-        raise ValueError(f"series of length {len(train)} is {'shorter' if len(train) < init else 'no longer'} than "
-                         f"the initial segment of {init} samples that every grid candidate needs "
-                         "(max of depth and largest order)")
+    largest = max(grid.orders)
+    check_training_length(len(train), depth, grid.orders)
     orders, thresholds = sorted(grid.orders), sorted(grid.thresholds)
     cells: dict[tuple[tuple[float, ...], int], EvidenceCell] = {}
     for thr in thresholds:
         try:
-            ingested = _ingest(train, model_factory(largest), Quantizer(thr), depth, beta).trie
-        except (ArithmeticError, np.linalg.LinAlgError, ValueError) as exc:  # numerical failure, keep going
+            quantizer = Quantizer(thr)
+        except ValueError as exc:
             cells.update(((thr, order), EvidenceCell(thr, order, float("-inf"), error=str(exc)))
                          for order in orders)
             continue
+        ingested = _ingest(train, model_factory(largest), quantizer, depth, beta).trie
         for order in orders:
             try:
                 # the ingested trie scores its own order; a narrowed one is dropped once swept
@@ -147,5 +148,5 @@ def select_hyperparams(
         if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):
             best = cell
     if best is None:
-        raise RuntimeError(f"every grid candidate failed numerically; the first: {table[0].error}")
+        raise RuntimeError(f"every grid candidate failed; the first: {table[0].error}")
     return SelectionResult(best.thresholds, best.order, best.log_evidence, table)

@@ -305,6 +305,8 @@ class ContextTrie:
         """Route one sample through its context path; returns the path's node ids, root first."""
         if len(context) != self.depth:
             raise ValueError(f"context length {len(context)} != depth {self.depth}")
+        if context and (min(context) < 0 or max(context) >= self.m):  # -1 would index the last child
+            raise ValueError(f"context symbol outside alphabet of size {self.m}")
         kids = self._kids
         path = [0]
         for sym in context:

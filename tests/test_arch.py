@@ -10,8 +10,12 @@ from ctreemix import (
     ArchConfig,
     ArchModel,
     ArchNodeState,
+    Quantizer,
     arch_loglik,
     arch_score_and_info,
+    builtin_specs,
+    fit_series,
+    generate,
 )
 from ctreemix import arch
 from ctreemix.arch import ALPHA0_FLOOR, initial_theta, project_feasible
@@ -40,6 +44,15 @@ def random_feasible_theta(rng, p):
     theta = rng.uniform(0.0, 0.6, size=p + 1)
     theta[0] = rng.uniform(0.05, 0.5)
     return theta
+
+
+@pytest.mark.parametrize("knobs, match", [
+    ({"order": -1}, "^ARCH order must be >= 0$"),
+    ({"fisher_iters": -1}, "^fisher_iters must be >= 0$"),
+], ids=["order", "fisher-iters"])
+def test_config_guards(knobs, match):
+    with pytest.raises(ValueError, match=match):
+        ArchConfig(**knobs)
 
 
 class TestLoglik:
@@ -153,6 +166,7 @@ class TestLaplace:
     def test_empty_node_is_zero(self):
         model = ArchModel(ArchConfig(order=2))
         assert model.log_pe([ArchNodeState()])[0] == 0.0
+        assert arch_loglik(ArchNodeState(), np.array([0.1, 0.2, 0.3])) == 0.0
 
     def test_variance_only_matches_closed_form(self):
         # with no lag terms the marginal is an inverse-gamma integral
@@ -223,6 +237,14 @@ class TestPredictive:
         mean, var = model.predict_from_state(None, (1.5,), root_state=root)
         assert mean == 0.0
         assert var == pytest.approx(float(root.theta @ np.array([1.0, 2.25])))
+
+    def test_no_fitted_coefficients_after_a_fit_of_the_initial_segment(self):
+        # not even the root holds a row to fit, so there is no pooled fit to fall back on
+        series = generate(builtin_specs()["arch_sim"].spec, 10, seed=1)[:3]
+        fitted = fit_series(series, ArchModel(ArchConfig(order=2)), Quantizer((0.0,)), 3)
+        assert fitted.num_scored == 0
+        with pytest.raises(RuntimeError, match="^no fitted coefficients available for prediction$"):
+            fitted.predict_next()
 
     def test_empty_leaf_documents_pooled_fit(self):
         root = simulate_arch_node(300, (0.2, 0.25), seed=14)

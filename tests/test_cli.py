@@ -24,6 +24,12 @@ def run(args):
     return main(args)
 
 
+def too_short(n, need):
+    """The error line of a training series of n samples, no longer than an initial segment of need samples."""
+    return (f"error: training series of length {n} is {'shorter' if n < need else 'no longer'} than the initial "
+            f"segment of {need} samples (max of depth and largest order), so none is scored\n")
+
+
 def simulate_csv(tmp_path, name="sim_1", n=None, seed=7):
     out = tmp_path / f"{name}.csv"
     args = ["simulate", "--name", name, "--seed", str(seed), "-o", str(out)]
@@ -44,6 +50,14 @@ def test_simulate_deterministic(tmp_path):
 def test_simulate_unknown_name(tmp_path, capsys):
     assert run(["simulate", "--name", "nope", "-o", str(tmp_path / "x.csv")]) == 1
     assert "unknown spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sources", [["--name", "sim_1", "--spec", "spec.json"], []], ids=["both", "neither"])
+def test_simulate_needs_exactly_one_source(tmp_path, capsys, sources):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", *sources, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: give exactly one of --name or --spec\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, rows", [("sim_1", 302), ("sim_3", 305), ("arch_sim", 302)])
@@ -237,8 +251,7 @@ def test_series_shorter_than_every_initial_segment_fails_before_the_grid(tmp_pat
     sio.write_series_csv(np.random.default_rng(0).normal(size=n), str(data))
     out = tmp_path / "out"
     assert run([command[0], str(data), *command[1:], "--grid-points", "3", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == (f"error: series of length {n} is shorter than the initial segment of {need} "
-                                       "samples that every grid candidate needs (max of depth and largest order)\n")
+    assert capsys.readouterr().err == too_short(n, need)
     assert not out.exists()
 
 
@@ -506,9 +519,7 @@ def test_training_prefix_shorter_than_the_initial_segment(tmp_path, capsys, comm
     n = len(sio.ingest_csv(str(data)))
     flags = [str(n - 3) if f == "N-3" else f for f in flags]
     assert run([command, str(data), *flags, "-o", str(tmp_path / "out.json")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --split/--test-last leaves ") and err.count("\n") == 1
-    assert f"leaves {train} training samples" in err and f"initial segment of {need}" in err
+    assert capsys.readouterr().err == too_short(train, need)
 
 
 @pytest.mark.parametrize("command, flags, need", [
@@ -520,8 +531,7 @@ def test_training_prefix_of_exactly_the_initial_segment(tmp_path, capsys, comman
     n = len(sio.ingest_csv(str(data)))
     flags = [str(n - need) if f == "N-4" else f for f in flags]
     assert run([command, str(data), *flags, "-o", str(tmp_path / "out.json")]) == 1
-    assert capsys.readouterr().err == (f"error: --split/--test-last leaves {need} training samples, no more than the "
-                                       f"initial segment of {need} (max of depth and largest order), so none is scored\n")
+    assert capsys.readouterr().err == too_short(need, need)
 
 
 @pytest.mark.parametrize("command", ["evidence-grid", "sample-trees", "fit"])
@@ -531,9 +541,61 @@ def test_series_of_exactly_the_initial_segment_fails_before_the_grid(tmp_path, c
     sio.write_series_csv(np.random.default_rng(0).normal(size=13), str(data))
     out = tmp_path / "out"
     assert run([command, str(data), "--thresholds", "0", "--depth", "2", "--max-order", "13", "-o", str(out)]) == 1
-    assert capsys.readouterr().err == ("error: series of length 13 is no longer than the initial segment of 13 samples "
-                                       "that every grid candidate needs (max of depth and largest order)\n")
+    assert capsys.readouterr().err == too_short(13, 13)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "sample-trees"])
+def test_fixed_config_series_of_exactly_the_initial_segment(tmp_path, capsys, command):
+    # fixed --thresholds and --order run no grid, but the same rule
+    data = tmp_path / "two.csv"
+    sio.write_series_csv([0.5, -0.2], str(data))
+    out = tmp_path / "out"
+    assert run([command, str(data), "--thresholds", "0", "--order", "2", "--depth", "2", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == too_short(2, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split", [9, 10], ids=["shorter", "exactly"])
+def test_from_model_training_prefix_no_longer_than_the_documents_initial_segment(tmp_path, capsys, split):
+    data = simulate_csv(tmp_path, n=600, seed=1)
+    doc, out = tmp_path / "model.json", tmp_path / "report.json"
+    assert run(["fit", str(data), "--thresholds", "0", "--order", "2", "-o", str(doc)]) == 0  # depth 10
+    assert run(["forecast", str(data), "--from-model", str(doc), "--split", str(split), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == too_short(split, 10)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evidence-grid", "--order", "0"], "AR order must be >= 1"),
+    (["evidence-grid", "--beta", "1.5"], "beta must lie in (0, 1)"),
+    (["evidence-grid", "--depth", "-1"], "depth must be >= 0"),
+    (["evidence-grid", "--model", "arch", "--order", "-1"], "ARCH order must be >= 0"),
+    (["fit", "--auto-thresholds", "--order", "0"], "AR order must be >= 1"),
+    (["fit", "--thresholds", "0", "--order", "0"], "AR order must be >= 1"),
+], ids=["grid-order", "grid-beta", "grid-depth", "grid-arch-order", "auto-order", "fixed-order"])
+def test_run_level_errors_fail_as_themselves(tmp_path, capsys, args, message):
+    # a flag that would fail every cell belongs to the run, not to one grid candidate
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    out = tmp_path / "out"
+    assert run([args[0], str(data), *args[1:], "--grid-points", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--name", "sim_1", "--n", "3"],
+    ["fit", "DATA", "--thresholds", "0", "--order", "2"],
+    ["evidence-grid", "DATA", "--grid-points", "3", "--max-order", "2"],
+    ["sample-trees", "DATA", "--thresholds", "0", "--order", "2", "--count", "20"],
+], ids=["simulate", "fit", "evidence-grid", "sample-trees"])
+def test_stdout_bytes_equal_the_output_file(tmp_path, capsysbinary, args):
+    args = [str(simulate_csv(tmp_path, n=120, seed=9)) if a == "DATA" else a for a in args]
+    out = tmp_path / "out"
+    assert run([*args, "-o", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert run(args) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_main_dispatches_to_the_current_command_binding(tmp_path, monkeypatch):

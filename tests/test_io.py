@@ -105,6 +105,8 @@ class TestTransforms:
             sio.apply_transform([1.0], "diff")
         with pytest.raises(ValueError):
             sio.apply_transform([1.0, 2.0], "sqrt")
+        with pytest.raises(ValueError, match="^unknown transform 'sqrt'; choose from "):
+            sio.TransformSpec("sqrt")
 
 
 class TestDocuments:
@@ -155,7 +157,8 @@ class TestDocuments:
         ("arch", {"lam": 0.5}, "tau and lam apply to ar leaves only"),
         ("ar", {"fisher_iters": 5}, "fisher_iters applies to arch leaves only"),
         ("arch", {"intercept": True}, "an intercept applies to ar leaves only"),
-    ], ids=["arch-tau", "arch-lam", "ar-fisher-iters", "arch-intercept"])
+        ("garch", {}, "kind must be 'ar' or 'arch'"),
+    ], ids=["arch-tau", "arch-lam", "ar-fisher-iters", "arch-intercept", "unknown-kind"])
     def test_config_rejects_the_other_familys_knobs(self, kind, knob, match):
         # to_document would write such a knob as null, so the round trip would lose it
         with pytest.raises(ValueError, match=match):

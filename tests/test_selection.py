@@ -58,6 +58,8 @@ def test_percentile_grid_properties():
     pairs = percentile_threshold_grid(data, 3, points=6)
     assert all(a < b for a, b in pairs)
     assert len(pairs) == 15  # C(6, 2)
+    with pytest.raises(ValueError, match="^alphabet size must be >= 2$"):
+        percentile_threshold_grid(data, 1)
 
 
 def test_degenerate_grid_reported():
@@ -132,16 +134,16 @@ def test_a_series_of_exactly_the_initial_segment_fails_before_any_ingest(monkeyp
     # each cell would score no sample and report a log evidence of 0.0
     series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:9]
     monkeypatch.setattr(selection, "_ingest", lambda *args: pytest.fail("the series was ingested"))
-    with pytest.raises(ValueError, match=r"^series of length 9 is no longer than the initial segment of 9 samples "
-                                         r"that every grid candidate needs \(max of depth and largest order\)$"):
+    with pytest.raises(ValueError, match=r"^training series of length 9 is no longer than the initial segment of 9 "
+                                         r"samples \(max of depth and largest order\), so none is scored$"):
         select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
 
 
 def test_an_order_longer_than_the_series_fails_before_any_ingest(monkeypatch):
     series = generate(builtin_specs()["sim_1"].spec, 100, seed=3)[:8]
     monkeypatch.setattr(selection, "_ingest", lambda *args: pytest.fail("the series was ingested"))
-    with pytest.raises(ValueError, match=r"^series of length 8 is shorter than the initial segment of 9 samples "
-                                         r"that every grid candidate needs \(max of depth and largest order\)$"):
+    with pytest.raises(ValueError, match=r"^training series of length 8 is shorter than the initial segment of 9 "
+                                         r"samples \(max of depth and largest order\), so none is scored$"):
         select_hyperparams(series, SelectionGrid(orders=(1, 9), thresholds=((0.0,),)), ar_factory(), depth=2)
 
 

@@ -124,3 +124,14 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         ArchLeaf((0.0, 0.2))
+    with pytest.raises(ValueError, match="^lag coefficients must be >= 0$"):
+        ArchLeaf((0.1, -0.2))
+    with pytest.raises(ValueError, match="^sigma2 must be >= 0$"):
+        ArLeaf((0.5,), -1.0)
+    leaves = {(0,): ArLeaf((0.5,), 1.0), (1,): ArLeaf((0.5,), 1.0)}
+    with pytest.raises(ValueError, match="^kind must be 'ar' or 'arch'$"):
+        GenerativeSpec(kind="garch", tree=tree, quantizer=Quantizer((0.0,)), leaf_params=leaves)
+    with pytest.raises(ValueError, match="^quantizer and tree alphabet sizes differ$"):
+        GenerativeSpec(kind="ar", tree=tree, quantizer=Quantizer((-0.5, 0.5)), leaf_params=leaves)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        generate(builtin_specs()["sim_1"].spec, -1, seed=0)

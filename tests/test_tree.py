@@ -522,6 +522,10 @@ BATCH_CONTEXTS = [np.array([0, 1]), np.array([1, 0])]
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: _fresh_trie().observe(0.5, (0,), (0.1,)),
                  ValueError, r"^context length 1 != depth 2$", id="observe-context-length"),
+    pytest.param(lambda: _fresh_trie().observe(0.5, (-1, 0), (0.1,)),
+                 ValueError, r"^context symbol outside alphabet of size 2$", id="observe-negative-symbol"),
+    pytest.param(lambda: _fresh_trie().observe(0.5, (2, 0), (0.1,)),
+                 ValueError, r"^context symbol outside alphabet of size 2$", id="observe-symbol"),
     pytest.param(lambda: _observed_trie().observe_all(BATCH_CONTEXTS, BATCH_X, BATCH_LAGS),
                  RuntimeError, r"^observe_all needs a trie that has observed nothing$", id="observe-all-after-observe"),
     pytest.param(lambda: _fresh_trie().observe_all(BATCH_CONTEXTS[:1], BATCH_X, BATCH_LAGS),
@@ -535,6 +539,19 @@ BATCH_CONTEXTS = [np.array([0, 1]), np.array([1, 0])]
                  id="log-evidence-before-sweep"),
     pytest.param(lambda: fit(random_mixture_series(1, n=20)).trie.posterior_of(TreeModel(3, ((),))),
                  ValueError, r"^alphabet size mismatch$", id="posterior-of-other-alphabet"),
+    pytest.param(lambda: ContextTrie(small_ar_model(1), 1, 2),
+                 ValueError, r"^alphabet size must be >= 2$", id="trie-alphabet"),
+    pytest.param(lambda: ContextTrie(small_ar_model(1), 2, -1),
+                 ValueError, r"^depth must be >= 0$", id="trie-depth"),
+    *(pytest.param(lambda beta=beta: ContextTrie(small_ar_model(1), 2, 2, beta),
+                   ValueError, r"^beta must lie in \(0, 1\)$", id=f"trie-beta-{beta}") for beta in (0.0, 1.0)),
+    pytest.param(lambda: log_prior(TreeModel(2, ((),)), 1.5, 2),
+                 ValueError, r"^beta must lie in \(0, 1\)$", id="log-prior-beta"),
+    pytest.param(lambda: default_beta(1), ValueError, r"^alphabet size must be >= 2$", id="default-beta"),
+    pytest.param(lambda: TreeModel(1, ((),)), ValueError, r"^alphabet size must be >= 2$", id="tree-alphabet"),
+    pytest.param(lambda: TreeModel(2, ()), ValueError, r"^a tree has at least the root leaf$", id="tree-no-leaves"),
+    pytest.param(lambda: TreeModel(2, ((0,), (1,))).state_of(()),
+                 KeyError, r"context \(\) reaches no leaf; tree deeper than context", id="state-of-short-context"),
 ])
 def test_trie_guards(call, error, match):
     with pytest.raises(error, match=match):
