@@ -183,11 +183,11 @@ def write_records_csv(records, path: str) -> None:
                              repr(r.squared_error), repr(r.log_density)])
 
 
-def series_csv(series: Sequence[float], header: str = "value") -> str:
-    """A series as CSV text: the header, then one repr'd value per line, each ended by CRLF as csv writes it."""
-    return "".join(f"{cell}\r\n" for cell in (header, *(repr(float(v)) for v in series)))
+def series_csv(series: Sequence[float]) -> str:
+    """A series as CSV text: a "value" header, then one repr'd value per line, each ended by CRLF as csv writes it."""
+    return "".join(f"{cell}\r\n" for cell in ("value", *(repr(float(v)) for v in series)))
 
 
-def write_series_csv(series: Sequence[float], path: str, header: str = "value") -> None:
+def write_series_csv(series: Sequence[float], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(series_csv(series, header))
+        fh.write(series_csv(series))

@@ -119,8 +119,10 @@ def select_hyperparams(
     every cell of that set) or a cell's sweep failing numerically, is
     recorded with -inf evidence; if all cells fail a RuntimeError is
     raised.  A bad series, depth, beta or order fails the whole run with its
-    own ValueError.  The table lists the orders in increasing order, each
-    over the sorted thresholds.
+    own ValueError; the length rule is checked first, so a series that is
+    too short fails it even when depth, beta or order is bad too.  The
+    table lists the orders in increasing order, each over the sorted
+    thresholds.
     """
     largest = max(grid.orders)
     check_training_length(len(train), depth, grid.orders)

@@ -584,6 +584,19 @@ def test_run_level_errors_fail_as_themselves(tmp_path, capsys, args, message):
 
 
 @pytest.mark.parametrize("args", [
+    ["evidence-grid", "--thresholds", "0", "--depth", "2", "--max-order", "2", "--beta", "1.5"],
+    ["fit", "--thresholds", "0", "--order", "2", "--depth", "2", "--beta", "1.5"],
+], ids=["grid", "fixed"])
+def test_the_length_rule_is_checked_before_the_run_level_flags(tmp_path, capsys, args):
+    data = tmp_path / "two.csv"
+    sio.write_series_csv([0.5, -0.2], str(data))
+    out = tmp_path / "out"
+    assert run([args[0], str(data), *args[1:], "-o", str(out)]) == 1
+    assert capsys.readouterr().err == too_short(2, 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
     ["simulate", "--name", "sim_1", "--n", "3"],
     ["fit", "DATA", "--thresholds", "0", "--order", "2"],
     ["evidence-grid", "DATA", "--grid-points", "3", "--max-order", "2"],

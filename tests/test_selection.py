@@ -187,3 +187,10 @@ def test_a_failed_ingest_fails_every_cell_of_its_threshold_set():
     assert [cell.order for cell in failed] == [1, 2]
     assert all(cell.error == "thresholds must be finite" and np.isnan(cell.thresholds[0]) for cell in failed)
     assert (res.thresholds, res.order) in {((0.0,), 1), ((0.0,), 2)}
+
+
+def test_a_grid_whose_every_threshold_set_fails_raises_with_the_first_error():
+    series = generate(builtin_specs()["sim_1"].spec, 200, seed=3)
+    grid = SelectionGrid(orders=(1, 2), thresholds=((float("nan"),),))
+    with pytest.raises(RuntimeError, match=r"^every grid candidate failed; the first: thresholds must be finite$"):
+        select_hyperparams(series, grid, ar_factory(), depth=3)
