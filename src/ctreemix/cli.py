@@ -6,6 +6,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -23,35 +24,84 @@ from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
 from .tree import TreeModel, check_labelled_alphabet, context_label
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("ar", "arch"), default="ar")
-    p.add_argument("--depth", type=int, default=None, help="maximum context depth (default: ar 10, arch 5)")
-    p.add_argument("--order", type=int, default=None, help="leaf-model order (default: searched, max 5)")
-    p.add_argument("--max-order", type=int, default=5, help="largest order searched when --order is omitted")
-    p.add_argument("--beta", type=float, default=None, help="tree-prior mixing weight (default 1 - 2^(1-m))")
-    p.add_argument("--alphabet", type=int, default=2, help="quantizer alphabet size m")
-    p.add_argument("--thresholds", type=str, default=None, help="comma-separated thresholds (m-1 values)")
-    p.add_argument("--auto-thresholds", action="store_true", help="grid-search thresholds by evidence")
-    p.add_argument("--grid-points", type=int, default=17, help="percentile grid size for --auto-thresholds")
-    p.add_argument("--threshold-candidates", type=str, default=None,
-                   help="explicit candidate list, e.g. '-0.1;-0.05;0;0.05;0.1' (tuples comma-separated)")
-    p.add_argument("--intercept", action="store_true", help="include a constant term (ar only)")
-    p.add_argument("--fisher-iters", type=int, default=None, help="scoring iterations per node (arch only, default 10)")
-
-
-def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--transform", choices=sio.TRANSFORMS, default="none")
-    p.add_argument("--column", type=str, default=None, help="CSV column name or index")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _column(args) -> Optional[object]:
-    if args.column is None:
-        return None
+def _column(text: str) -> object:
+    """A --column value: an index if it reads as an integer, else a name."""
     try:
-        return int(args.column)
+        return int(text)
     except ValueError:
-        return args.column
+        return text
+
+
+_COMMANDS = {
+    "fit": "fit a model and emit its JSON document",
+    "forecast": "rolling one-step evaluation over a test split",
+    "simulate": "sample a series from a named or file-specified model",
+    "sample-trees": "draw posterior tree samples with frequencies",
+    "evidence-grid": "evidence table over threshold/order candidates",
+}
+_FIT = ("fit", "forecast", "sample-trees", "evidence-grid")  # the commands that fit a series
+_DOC = ("--from-model",)  # the model comes from a fit document, so no model flag is read
+
+# Every option of the CLI: the commands that take it, the modes in which nothing reads it, and its argparse
+# settings, in the order of each command's help.  A run's modes are the options it gives (off their defaults),
+# "--model ar" or "--model arch", and its command.  Options given in a mode that reads none of them fail before
+# any file is read: the error names the first such option, the first of its modes the run is in, and every other
+# given option that mode excludes.  _ONE_OF names the pair of options of which a command needs exactly one (none
+# with --from-model).
+_FLAGS = {
+    "input": (_FIT, (), dict()),
+    "--model": (_FIT, _DOC, dict(choices=("ar", "arch"), default="ar")),
+    "--depth": (_FIT, _DOC, dict(type=int, help="maximum context depth (default: ar 10, arch 5)")),
+    "--order": (_FIT, _DOC, dict(type=int, help="leaf-model order (default: searched, max 5)")),
+    "--max-order": (_FIT, _DOC + ("--order",),
+                    dict(type=int, default=5, help="largest order searched when --order is omitted")),
+    "--beta": (_FIT, _DOC, dict(type=float, help="tree-prior mixing weight (default 1 - 2^(1-m))")),
+    "--alphabet": (_FIT, _DOC, dict(type=int, default=2, help="quantizer alphabet size m")),
+    "--thresholds": (_FIT, _DOC, dict(help="comma-separated thresholds (m-1 values)")),
+    "--auto-thresholds": (_FIT, _DOC + ("--thresholds", "evidence-grid"),
+                          dict(action="store_true", default=False, help="grid-search thresholds by evidence")),
+    "--grid-points": (_FIT, _DOC + ("--thresholds", "--threshold-candidates"),
+                      dict(type=int, default=17, help="percentile grid size for --auto-thresholds")),
+    "--threshold-candidates": (_FIT, _DOC + ("--thresholds",), dict(
+        help="explicit candidate list, e.g. '-0.1;-0.05;0;0.05;0.1' (tuples comma-separated)")),
+    "--intercept": (_FIT, _DOC + ("--model arch",),
+                    dict(action="store_true", default=False, help="include a constant term (ar only)")),
+    "--fisher-iters": (_FIT, _DOC + ("--model ar",),
+                       dict(type=int, help="scoring iterations per node (arch only, default 10)")),
+    "--name": (("simulate",), (), dict(help="builtin spec: " + "; ".join(
+        f"{name} ({named.note})" for name, named in builtin_specs().items()))),
+    "--spec": (("simulate",), (), dict(help="JSON file describing a generative model")),
+    "--n": (("simulate",), (), dict(type=int, help=(
+        "samples after the spec's initial segment: the output has N + max(tree depth, order) rows, 302 for "
+        "--n 300 on sim_1 (default: the builtin's own size, 500 with --spec)"))),
+    "--transform": (_FIT, (), dict(choices=sio.TRANSFORMS, default="none")),
+    "--column": (_FIT, (), dict(type=_column, help="CSV column name or index")),
+    "--seed": (_FIT + ("simulate",), ("evidence-grid",), dict(type=int, default=0)),
+    "--split": (("fit", "forecast"), (), dict(type=float, help=(
+        "training prefix (<1: fraction, >=1: count; default: fit the whole series, forecast 0.5)"))),
+    "--test-last": (("fit", "forecast"), ("--split",),
+                    dict(type=int, help="train on all but the last N samples (forecast's test set)")),
+    "--from-model": (("forecast",), (), dict(help="take the configuration from a fit document")),
+    "--records": (("forecast",), (), dict(help="write per-step CSV here")),
+    "--count": (("sample-trees",), (), dict(type=int, default=1000)),
+    "--output": (_FIT + ("simulate",), (), dict()),  # also -o
+}
+_ONE_OF = {**dict.fromkeys(("fit", "forecast", "sample-trees"), ("--thresholds", "--auto-thresholds")),
+           "simulate": ("--name", "--spec")}
+
+
+def _check_flags(args) -> None:
+    """Reject options given where the run's modes read none, then a missing or doubled choice of _ONE_OF."""
+    given = [flag for flag, (commands, _, settings) in _FLAGS.items() if args.command in commands
+             and getattr(args, flag.lstrip("-").replace("-", "_")) != settings.get("default")]
+    modes = {*given, f"--model {getattr(args, 'model', None)}", args.command}
+    unread = [(mode, flag) for flag in given for mode in _FLAGS[flag][1] if mode in modes]
+    if unread:
+        mode = unread[0][0]
+        raise ValueError(f"{', '.join(flag for m, flag in unread if m == mode)} cannot be combined with {mode}")
+    pair = _ONE_OF.get(args.command)
+    if pair and "--from-model" not in modes and sum(flag in given for flag in pair) != 1:
+        raise ValueError(f"give exactly one of {pair[0]} or {pair[1]}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -61,8 +111,6 @@ def _floats(text: str) -> tuple[float, ...]:
 def _config_and_grid(args, train) -> tuple[RunConfig, SelectionGrid]:
     """The run config the flags describe, at the first cell of the candidate grid, and that grid: the
     given thresholds and order, else the percentile grid and orders 1..--max-order."""
-    if args.thresholds is not None and args.threshold_candidates is not None:
-        raise ValueError("--thresholds and --threshold-candidates are mutually exclusive")
     if args.thresholds is not None:
         candidates = (_floats(args.thresholds),)
     elif args.threshold_candidates is not None:
@@ -70,28 +118,14 @@ def _config_and_grid(args, train) -> tuple[RunConfig, SelectionGrid]:
     else:
         candidates = None
     grid = candidate_grid(train, args.alphabet, candidates, args.order, args.max_order, args.grid_points)
-    if args.fisher_iters is not None and args.model != "arch":
-        raise ValueError("--fisher-iters applies to arch leaves only")
     depth = {"ar": 10, "arch": 5}[args.model] if args.depth is None else args.depth
     fisher_iters = RunConfig.fisher_iters if args.fisher_iters is None else args.fisher_iters
     return RunConfig(kind=args.model, thresholds=grid.thresholds[0], order=grid.orders[0], depth=depth,
                      beta=args.beta, intercept=args.intercept, fisher_iters=fisher_iters), grid
 
 
-def _model_flags_given(args) -> list[str]:
-    """The model flags whose values differ from their defaults."""
-    probe = argparse.ArgumentParser()
-    _add_model_flags(probe)
-    defaults = vars(probe.parse_args([]))
-    return ["--" + name.replace("_", "-") for name, value in defaults.items() if getattr(args, name) != value]
-
-
 def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
     """Thresholds/order from flags, running the evidence grid search on train if either is open."""
-    if args.thresholds is not None and args.auto_thresholds:
-        raise ValueError("--thresholds and --auto-thresholds are mutually exclusive")
-    if args.thresholds is None and not args.auto_thresholds:
-        raise ValueError("give --thresholds or --auto-thresholds")
     cfg, grid = _config_and_grid(args, train)
     if args.thresholds is not None and args.order is not None:
         check_training_length(len(train), cfg.depth, grid.orders)
@@ -100,25 +134,34 @@ def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
     return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", newline="") as fh:  # the text's own line ends: series_csv's CRLF
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str, Optional[str]]) -> None:
+    """Write each text to its path, or to stdout where the path is None.  Every path is opened for appending
+    (which changes no byte) before any text is written, so one that cannot be opened fails the command and
+    leaves no output behind; a failure removes the files this call created."""
+    paths = [path for _, path in outputs if path]
+    made = [path for path in paths if not os.path.lexists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        for text, path in outputs:
+            if path:
+                with open(path, "w", newline="") as fh:  # the text's own line ends: series_csv's CRLF
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+    except OSError:
+        for path in filter(os.path.lexists, made):
+            os.remove(path)
+        raise
 
 
 def _load_series(args):
-    series = sio.ingest_csv(args.input, _column(args))
-    series, tspec = sio.apply_transform(series, args.transform)
-    return series, tspec
+    return sio.apply_transform(sio.ingest_csv(args.input, args.column), args.transform)
 
 
 def _train_len(args, n: int, need_test: bool = True) -> int:
     """The training-prefix length: --split (below 1 a fraction of n, from 1 a whole count), or all but
     --test-last; half of n if neither is given.  It leaves at least one test sample if need_test."""
-    if args.split is not None and args.test_last is not None:
-        raise ValueError("--split and --test-last are mutually exclusive")
     if args.test_last is not None:
         out = n - args.test_last
     elif args.split is not None and args.split >= 1.0:
@@ -139,7 +182,7 @@ def cmd_fit(args) -> int:
     cfg, table = _resolve_config(args, train)
     fitted = fit_series(train, cfg.make_model(), cfg.quantizer(), cfg.depth, cfg.beta)
     doc = sio.model_document(fitted, cfg, transform=tspec, seed=args.seed, selection_table=table)
-    _emit(sio.dumps_canonical(doc), args.output)
+    _emit((sio.dumps_canonical(doc), args.output))
     return 0
 
 
@@ -148,25 +191,18 @@ def cmd_forecast(args) -> int:
     series, tspec = _load_series(args)
     train_len = _train_len(args, len(series))
     if args.from_model:
-        given = _model_flags_given(args)
-        if given:
-            raise ValueError(f"{', '.join(given)} cannot be combined with --from-model, "
-                             "which takes the model from its document")
         with open(args.from_model) as fh:
             cfg = RunConfig.from_document(json.loads(fh.read()))
         check_training_length(train_len, cfg.depth, (cfg.order,))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
     report = rolling_forecast(series, cfg, train_len=train_len)
-    _emit(sio.dumps_canonical(sio.report_to_doc(report, seed=args.seed, transform=tspec)), args.output)
-    if args.records:
-        sio.write_records_csv(report.records, args.records)
+    records = [(sio.records_csv(report.records), args.records)] if args.records else []
+    _emit((sio.dumps_canonical(sio.report_to_doc(report, seed=args.seed, transform=tspec)), args.output), *records)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if bool(args.name) == bool(args.spec):
-        raise ValueError("give exactly one of --name or --spec")
     if args.name:
         registry = builtin_specs()
         if args.name not in registry:
@@ -178,7 +214,7 @@ def cmd_simulate(args) -> int:
             spec = parse_generative_spec(json.load(fh))
         default_n = 500
     n = args.n if args.n is not None else default_n
-    _emit(sio.series_csv(generate(spec, n, args.seed)), args.output)
+    _emit((sio.series_csv(generate(spec, n, args.seed)), args.output))
     return 0
 
 
@@ -198,7 +234,7 @@ def cmd_sample_trees(args) -> int:
         "posterior": fitted.posterior_of(tree),
     } for tree, c in counts.most_common()]
     doc = {"samples": args.count, "seed": args.seed, "trees": rows}
-    _emit(sio.dumps_canonical(doc), args.output)
+    _emit((sio.dumps_canonical(doc), args.output))
     return 0
 
 
@@ -214,7 +250,7 @@ def cmd_evidence_grid(args) -> int:
         thr = ";".join(repr(v) for v in cell.thresholds)
         nl2 = "" if cell.log_evidence == float("-inf") else repr(float(-cell.log_evidence / log2))
         writer.writerow([thr, cell.order, repr(float(cell.log_evidence)), nl2, cell.error or ""])
-    _emit(text.getvalue(), args.output)
+    _emit((text.getvalue(), args.output))
     sys.stderr.write(
         f"selected thresholds={list(result.thresholds)} order={result.order} "
         f"log_evidence={result.log_evidence:.6g}\n"
@@ -257,56 +293,17 @@ def parse_generative_spec(doc: dict) -> GenerativeSpec:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+    """The parser of every subcommand, built from _COMMANDS and _FLAGS once per process."""
     parser = argparse.ArgumentParser(
         prog="ctreemix",
         description="Context-tree mixture models for real-valued time series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a model and emit its JSON document")
-    p_fit.add_argument("input")
-    _add_model_flags(p_fit)
-    _add_series_flags(p_fit)
-    p_fit.add_argument("--split", type=float, default=None,
-                       help="fit on the training prefix only (<1: fraction, >=1: count)")
-    p_fit.add_argument("--test-last", type=int, default=None, help="train on all but the last N samples")
-    p_fit.add_argument("--output", "-o", default=None)
-
-    p_fc = sub.add_parser("forecast", help="rolling one-step evaluation over a test split")
-    p_fc.add_argument("input")
-    _add_model_flags(p_fc)
-    _add_series_flags(p_fc)
-    p_fc.add_argument("--split", type=float, default=None,
-                      help="training share (<1: fraction, >=1: count; default 0.5)")
-    p_fc.add_argument("--test-last", type=int, default=None, help="use the last N samples as test set")
-    p_fc.add_argument("--from-model", default=None, help="take the configuration from a fit document")
-    p_fc.add_argument("--records", default=None, help="write per-step CSV here")
-    p_fc.add_argument("--output", "-o", default=None)
-
-    p_sim = sub.add_parser("simulate", help="sample a series from a named or file-specified model")
-    p_sim.add_argument("--name", default=None, help="builtin spec: " + "; ".join(
-        f"{name} ({named.note})" for name, named in builtin_specs().items()))
-    p_sim.add_argument("--spec", default=None, help="JSON file describing a generative model")
-    p_sim.add_argument("--n", type=int, default=None,
-                       help="samples after the spec's initial segment: the output has N + max(tree depth, order) "
-                            "rows, 302 for --n 300 on sim_1 (default: the builtin's own size, 500 with --spec)")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--output", "-o", default=None)
-
-    p_st = sub.add_parser("sample-trees", help="draw posterior tree samples with frequencies")
-    p_st.add_argument("input")
-    _add_model_flags(p_st)
-    _add_series_flags(p_st)
-    p_st.add_argument("--count", type=int, default=1000)
-    p_st.add_argument("--output", "-o", default=None)
-
-    p_eg = sub.add_parser("evidence-grid", help="evidence table over threshold/order candidates")
-    p_eg.add_argument("input")
-    _add_model_flags(p_eg)
-    _add_series_flags(p_eg)
-    p_eg.add_argument("--output", "-o", default=None)
-
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, (commands, _, settings) in _FLAGS.items():
+            if command in commands:
+                p.add_argument(flag, *(["-o"] if flag == "--output" else []), **settings)
     return parser
 
 
@@ -314,6 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call, so a rebinding takes effect
     try:
+        _check_flags(args)
         return command(args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")

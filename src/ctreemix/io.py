@@ -6,6 +6,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from io import StringIO
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -174,13 +175,15 @@ def report_to_doc(report: EvalReport, *, seed: Optional[int] = None,
 REPORT_CSV_COLUMNS = ("time", "mean", "variance", "realised", "sq_error", "log_density")
 
 
-def write_records_csv(records, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.index, repr(r.mean), repr(r.variance), repr(r.realised),
-                             repr(r.squared_error), repr(r.log_density)])
+def records_csv(records) -> str:
+    """Forecast records as CSV text: a REPORT_CSV_COLUMNS header, then one row per step, each ended by CRLF."""
+    text = StringIO()
+    writer = csv.writer(text)
+    writer.writerow(REPORT_CSV_COLUMNS)
+    for r in records:
+        writer.writerow([r.index, repr(r.mean), repr(r.variance), repr(r.realised),
+                         repr(r.squared_error), repr(r.log_density)])
+    return text.getvalue()
 
 
 def series_csv(series: Sequence[float]) -> str:

@@ -96,26 +96,34 @@ def generate(spec: GenerativeSpec, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     init_len = max(spec.init_len, 1)
     hist = list(rng.normal(0.0, spec.default_scale(), size=init_len))
+    # rng.normal(0.0, s) is 0.0 + s * z for the next standard normal z of the stream, so one block of z
+    # draws the same values as a scalar call per step
+    noise = rng.standard_normal(spec.burn_in + n + spec.init_len).tolist()
     out: list[float] = []
     depth = spec.tree.depth
     order = spec.order
-    for _ in range(spec.burn_in + n + spec.init_len):
-        context = tuple(spec.quantizer(hist[-1 - d]) for d in range(depth))
-        leaf = spec.tree.state_of(context)
-        params = spec.leaf_params[leaf]
+    quantize = spec.quantizer
+    context = tuple(quantize(hist[-1 - d]) for d in range(depth))  # each sample is quantized once, when drawn
+    params_of: dict[tuple[int, ...], Leaf] = {}  # the leaf of each context seen, found once
+    for z in noise:
+        params = params_of.get(context)
+        if params is None:
+            params = params_of[context] = spec.leaf_params[spec.tree.state_of(context)]
         if spec.kind == "ar":
             mean = params.intercept
             for k, c in enumerate(params.phi):
                 mean += c * hist[-1 - k]
-            x = mean + rng.normal(0.0, sqrt(params.sigma2))
+            x = mean + (0.0 + sqrt(params.sigma2) * z)
         else:
             var = params.alpha[0]
             for k, c in enumerate(params.alpha[1:]):
                 var += c * hist[-1 - k] ** 2
-            x = rng.normal(0.0, sqrt(var))
+            x = 0.0 + sqrt(var) * z
         hist.append(x)
         if len(hist) > max(init_len, depth, order) + 1:
             del hist[0]
+        if depth:
+            context = (quantize(x),) + context[:-1]
         out.append(x)
     return np.asarray(out[spec.burn_in :])
 

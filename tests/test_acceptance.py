@@ -293,16 +293,24 @@ def test_c12a_linear_scaling():
     spec = cm.builtin_specs()["sim_1"].spec
     series = cm.generate(spec, 40_000, seed=1)
     cm.fit_series(series[:5000], small_ar_model(2), Q0, 10, None)  # warmup
-    times = {}
-    for n in (10_000, 20_000, 40_000):
-        best = float("inf")
-        for _ in range(5):  # fits of 6-19 ms: the best of 5 keeps a stray pause out of the ratio
-            t0 = time.perf_counter()
-            fitted = cm.fit_series(series[: n + 2], small_ar_model(2), Q0, 10, None)
-            fitted.log_evidence()
-            fitted.map_tree()
-            best = min(best, time.perf_counter() - t0)
-        times[n] = best
+
+    def fit(n):
+        fitted = cm.fit_series(series[: n + 2], small_ar_model(2), Q0, 10, None)
+        fitted.log_evidence()
+        fitted.map_tree()
+
+    def round_s(n, reps):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fit(n)
+        return (time.perf_counter() - t0) / reps
+
+    # a fit takes 4-21 ms, where a few ms of host noise would move a ratio by 0.5: each round repeats the fit
+    # for at least 0.2 s, the rounds take the sizes in turn, and the best of 5 keeps a slow spell out of the ratio
+    sizes = (10_000, 20_000, 40_000)
+    reps = {n: math.ceil(0.2 / round_s(n, 1)) for n in sizes}
+    rounds = [{n: round_s(n, reps[n]) for n in sizes} for _ in range(5)]
+    times = {n: min(r[n] for r in rounds) for n in sizes}
     r1 = times[20_000] / times[10_000]
     r2 = times[40_000] / times[20_000]
     ok = r1 <= 2.5 and r2 <= 2.5

@@ -302,15 +302,17 @@ def test_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["evidence-grid", "--alphabet", "2", "--threshold-candidates=0;-0.5,0.5"], "[-0.5, 0.5] needs exactly 1"),
     (["fit", "--alphabet", "3", "--auto-thresholds", "--threshold-candidates=-0.5,0.5;0"], "[0.0] needs exactly 2"),
-    (["fit", "--model", "arch", "--intercept", "--thresholds", "0", "--order", "2"], "ar leaves only"),
-    (["fit", "--model", "ar", "--fisher-iters", "3", "--thresholds", "0", "--order", "2"], "arch leaves only"),
+    (["fit", "--model", "arch", "--intercept", "--thresholds", "0", "--order", "2"],
+     "--intercept cannot be combined with --model arch"),
+    (["fit", "--model", "ar", "--fisher-iters", "3", "--thresholds", "0", "--order", "2"],
+     "--fisher-iters cannot be combined with --model ar"),
     (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "-3"], "--count must be at least 1"),
     (["sample-trees", "--thresholds", "0", "--order", "2", "--count", "0"], "--count must be at least 1"),
     (["evidence-grid", "--thresholds", "0", "--threshold-candidates=0.5;1"],
-     "--thresholds and --threshold-candidates are mutually exclusive"),
+     "--threshold-candidates cannot be combined with --thresholds"),
     (["evidence-grid", "--threshold-candidates="], "candidate sets must be nonempty"),
     (["forecast", "--thresholds", "0", "--order", "2", "--split", "0.5", "--test-last", "10"],
-     "--split and --test-last are mutually exclusive"),
+     "--test-last cannot be combined with --split"),
 ], ids=["grid-alphabet", "auto-alphabet", "arch-intercept", "ar-fisher-iters", "count-negative", "count-zero",
         "thresholds-and-candidates", "empty-candidates", "split-and-test-last"])
 def test_rejected_configurations(tmp_path, capsys, args, message):
@@ -440,8 +442,8 @@ class TestSplit:
         assert self.train_len(200, test_last=30) == 170
 
     def test_conflicting_or_degenerate(self):
-        with pytest.raises(ValueError, match="--split and --test-last"):
-            self.train_len(100, split=0.5, test_last=50)
+        with pytest.raises(ValueError, match="--test-last cannot be combined with --split"):
+            cli._check_flags(build_parser().parse_args(["forecast", "x.csv", "--split", "0.5", "--test-last", "50"]))
         with pytest.raises(ValueError, match="no usable"):
             self.train_len(100, split=100)
         with pytest.raises(ValueError, match="no usable"):
@@ -485,7 +487,7 @@ def test_readme_cli_examples_parse():
         lexer.whitespace_split = True
         tokens = list(lexer)
         assert not any(set(tok) <= set(lexer.punctuation_chars) for tok in tokens), f"not one command: {line}"
-        build_parser().parse_args(tokens[1:])
+        cli._check_flags(build_parser().parse_args(tokens[1:]))
 
 
 def run_python(*args):
@@ -567,18 +569,18 @@ def test_from_model_training_prefix_no_longer_than_the_documents_initial_segment
 
 
 @pytest.mark.parametrize("args, message", [
-    (["evidence-grid", "--order", "0"], "AR order must be >= 1"),
-    (["evidence-grid", "--beta", "1.5"], "beta must lie in (0, 1)"),
-    (["evidence-grid", "--depth", "-1"], "depth must be >= 0"),
-    (["evidence-grid", "--model", "arch", "--order", "-1"], "ARCH order must be >= 0"),
-    (["fit", "--auto-thresholds", "--order", "0"], "AR order must be >= 1"),
-    (["fit", "--thresholds", "0", "--order", "0"], "AR order must be >= 1"),
+    (["evidence-grid", "--order", "0", "--grid-points", "3"], "AR order must be >= 1"),
+    (["evidence-grid", "--beta", "1.5", "--grid-points", "3"], "beta must lie in (0, 1)"),
+    (["evidence-grid", "--depth", "-1", "--grid-points", "3"], "depth must be >= 0"),
+    (["evidence-grid", "--model", "arch", "--order", "-1", "--grid-points", "3"], "ARCH order must be >= 0"),
+    (["fit", "--auto-thresholds", "--order", "0", "--grid-points", "3"], "AR order must be >= 1"),
+    (["fit", "--thresholds", "0", "--order", "0"], "AR order must be >= 1"),  # fixed thresholds read no --grid-points
 ], ids=["grid-order", "grid-beta", "grid-depth", "grid-arch-order", "auto-order", "fixed-order"])
 def test_run_level_errors_fail_as_themselves(tmp_path, capsys, args, message):
     # a flag that would fail every cell belongs to the run, not to one grid candidate
     data = simulate_csv(tmp_path, n=120, seed=9)
     out = tmp_path / "out"
-    assert run([args[0], str(data), *args[1:], "--grid-points", "3", "-o", str(out)]) == 1
+    assert run([args[0], str(data), *args[1:], "-o", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -615,7 +617,7 @@ def test_main_dispatches_to_the_current_command_binding(tmp_path, monkeypatch):
     data = simulate_csv(tmp_path, n=120, seed=9)  # an earlier main call: the parser is built
     seen = []
     monkeypatch.setattr(cli, "cmd_sample_trees", lambda args: seen.append(args.count) or 0)
-    assert run(["sample-trees", str(data), "--count", "3"]) == 0
+    assert run(["sample-trees", str(data), "--thresholds", "0", "--order", "2", "--count", "3"]) == 0
     assert seen == [3]
     assert build_parser() is build_parser()
 
@@ -648,3 +650,116 @@ def test_alphabet_above_ten_fits_but_does_not_forecast(tmp_path, capsys):
     assert json.loads(doc.read_text())["quantizer"]["alphabet_size"] == 11
     assert run(["forecast", str(data), "--from-model", str(doc), "-o", str(tmp_path / "report.json")]) == 1
     assert capsys.readouterr().err == ABOVE_TEN
+
+
+FIXED = ["--thresholds", "0", "--order", "2"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["evidence-grid", "--thresholds", "0", "--auto-thresholds", "--grid-points", "50"],
+     "--auto-thresholds, --grid-points cannot be combined with --thresholds"),
+    (["fit", *FIXED, "--max-order", "9", "--grid-points", "3"], "--max-order cannot be combined with --order"),
+    (["fit", "--thresholds", "0", "--grid-points", "3"], "--grid-points cannot be combined with --thresholds"),
+    (["sample-trees", *FIXED, "--max-order", "1"], "--max-order cannot be combined with --order"),
+    (["evidence-grid", "--seed", "7"], "--seed cannot be combined with evidence-grid"),
+    (["evidence-grid", *FIXED, "--max-order", "9"], "--max-order cannot be combined with --order"),
+    (["evidence-grid", "--auto-thresholds"], "--auto-thresholds cannot be combined with evidence-grid"),
+    (["fit", "--auto-thresholds", "--threshold-candidates=0;0.1", "--grid-points", "5"],
+     "--grid-points cannot be combined with --threshold-candidates"),
+    (["fit", "--thresholds", "0", "--auto-thresholds"], "--auto-thresholds cannot be combined with --thresholds"),
+    (["fit", "--order", "2"], "give exactly one of --thresholds or --auto-thresholds"),
+    (["forecast", "--threshold-candidates=0;0.1"], "give exactly one of --thresholds or --auto-thresholds"),
+    (["sample-trees", "--model", "arch", *FIXED, "--intercept", "--fisher-iters", "3"],
+     "--intercept cannot be combined with --model arch"),
+    (["evidence-grid", "--fisher-iters", "3"], "--fisher-iters cannot be combined with --model ar"),
+    (["forecast", "--from-model", "m.json", "--seed", "3", "--grid-points", "3", "--split", "9", "--test-last", "3"],
+     "--grid-points cannot be combined with --from-model"),
+    (["forecast", "--split", "9", "--test-last", "3", "--seed", "2", *FIXED],
+     "--test-last cannot be combined with --split"),
+], ids=["grid-thresholds-auto", "fit-fixed-max-order", "fit-fixed-grid-points", "fixed-order-max-order", "grid-seed",
+        "grid-fixed-order", "grid-auto", "candidates-grid-points", "fit-thresholds-auto", "fit-neither",
+        "forecast-candidates-only", "arch-intercept", "ar-fisher-iters", "from-model-first", "split-test-last"])
+def test_an_unread_flag_fails_before_the_input_is_read(tmp_path, capsys, args, message):
+    # the input and the model document do not exist: the flags are checked before either is opened
+    out = tmp_path / "out"
+    assert run([args[0], str(tmp_path / "missing.csv"), *args[1:], "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_every_option_has_a_row_in_the_flag_table():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(cli._COMMANDS)
+    for command in ("fit", "forecast", "sample-trees", "evidence-grid", "simulate"):
+        for action in commands[command]._actions:
+            if action.dest == "help":
+                continue
+            name = (action.option_strings or [action.dest])[0]
+            assert name in cli._FLAGS, f"{command} {name} has no row"
+            takers, unread, settings = cli._FLAGS[name]
+            assert command in takers and action.default == settings.get("default"), f"{command} {name}"
+            assert set(unread) <= {*cli._FLAGS, "--model ar", "--model arch", *cli._COMMANDS}, f"{name}: no such mode"
+
+
+def test_flags_at_their_defaults_are_not_given(tmp_path):
+    # the data flags, and every model flag at its default, pass the table in every mode that takes them
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    defaults = ["--model", "ar", "--alphabet", "2", "--grid-points", "17", "--max-order", "5"]
+    assert run(["fit", str(data), *FIXED, *defaults, "--seed", "3", "-o", str(tmp_path / "fit.json")]) == 0
+    assert run(["evidence-grid", str(data), "--threshold-candidates=0", *defaults, "--seed", "0",
+                "-o", str(tmp_path / "grid.csv")]) == 0
+    assert run(["forecast", str(data), "--from-model", str(tmp_path / "fit.json"), *defaults, "--seed", "3",
+                "--column", "value", "--transform", "none", "--split", "0.5", "-o", str(tmp_path / "rep.json")]) == 0
+
+
+def test_the_flag_check_builds_no_parser(tmp_path, monkeypatch, capsys):
+    build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *a, **k: pytest.fail("a parser was built"))
+    assert run(["simulate", "--name", "sim_1", "--n", "3", "-o", str(tmp_path / "x.csv")]) == 0
+    assert run(["evidence-grid", str(tmp_path / "x.csv"), "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: --seed cannot be combined with evidence-grid\n"
+
+
+UNOPENABLE = os.path.join("missing-dir", "out")
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--name", "sim_1", "--n", "20", "-o", UNOPENABLE],
+    ["fit", "DATA", *FIXED, "-o", UNOPENABLE],
+    ["sample-trees", "DATA", *FIXED, "--count", "5", "-o", UNOPENABLE],
+    ["evidence-grid", "DATA", "--max-order", "2", "--grid-points", "3", "-o", UNOPENABLE],
+    ["forecast", "DATA", *FIXED, "-o", UNOPENABLE],
+    ["forecast", "DATA", *FIXED, "-o", "rep.json", "--records", UNOPENABLE],
+    ["forecast", "DATA", *FIXED, "-o", UNOPENABLE, "--records", "rec.csv"],
+    ["forecast", "DATA", *FIXED, "--records", UNOPENABLE],
+], ids=["simulate", "fit", "sample-trees", "evidence-grid", "forecast", "forecast-records", "forecast-report",
+        "forecast-records-stdout"])
+def test_an_output_path_that_cannot_be_opened_leaves_no_output(tmp_path, capsys, monkeypatch, args):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert run([str(data) if a == "DATA" else a for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and UNOPENABLE in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_failed_forecast_keeps_an_earlier_report(tmp_path, capsys):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    rep = tmp_path / "rep.json"
+    rep.write_text("an earlier report\n")
+    assert run(["forecast", str(data), *FIXED, "-o", str(rep), "--records", str(tmp_path / "no" / "rec.csv")]) == 1
+    assert rep.read_text() == "an earlier report\n"
+
+
+def test_the_readme_flag_table_is_the_clis():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("| Flag | Commands | Not read with |")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| (.+?) \| (.+?) \| (.+?) \|$", block, re.M)
+    table = {}
+    for flags, commands, unread in rows:
+        takers = tuple(cli._COMMANDS) if commands == "every command" else tuple(commands.split(", "))
+        modes = () if unread == "always read" else tuple(m.split(" (")[0].strip("`") for m in unread.split("; "))
+        for flag in flags.split(", "):
+            table[flag.split(" (")[0].strip("`")] = (set(takers), set(modes))
+    assert table == {flag: (set(takers), set(modes)) for flag, (takers, modes, _) in cli._FLAGS.items()}

@@ -181,15 +181,14 @@ class TestDocuments:
         with pytest.raises(ValueError, match=field):
             RunConfig.from_document(doc)
 
-    def test_records_csv(self, tmp_path):
+    def test_records_csv(self):
         from ctreemix.forecasting import rolling_forecast
 
         series = generate(builtin_specs()["sim_1"].spec, 120, seed=1)
         rep = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=4))
-        path = tmp_path / "records.csv"
-        sio.write_records_csv(rep.records, str(path))
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
+        text = sio.records_csv(rep.records)
+        assert text.endswith("\r\n") and text.count("\r\n") == len(rep.records) + 1
+        rows = list(csv.reader(text.splitlines()))
         assert rows[0] == list(sio.REPORT_CSV_COLUMNS)
         assert len(rows) == len(rep.records) + 1
         got = float(rows[1][1])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,28 @@ def test_deterministic_in_seed():
     c = generate(spec, 200, seed=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# sha256 over every output of each builtin spec, for seeds 0, 1, 7, 9001 and n = 0, 1, 5, 300 in that order (each
+# output's length as int64, then its values as little-endian float64): a faster sampler must keep these bytes
+GENERATE_SHA256 = {
+    "sim_1": "ef08a14a640f9f24ae3fc63bed78b8749f38fda1242e33d60a5c49bc46e9a9e8",
+    "sim_2": "d5856d254d35abc1a21d1b227b1262a20e6f302b07f5bc39914d76de40bf3c39",
+    "sim_3": "cb962f1fb9b8ca32841003606670508a558dde48b4a38acfcb1ec6c7d135203f",
+    "arch_sim": "4877333502022bfd3d394f44a3096395d800f2ed7c13879503ebef47d048b4c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_SHA256))
+def test_builtin_outputs_are_pinned(name):
+    assert set(GENERATE_SHA256) == set(builtin_specs())
+    digest = hashlib.sha256()
+    for seed in (0, 1, 7, 9001):
+        for n in (0, 1, 5, 300):
+            x = generate(builtin_specs()[name].spec, n, seed)
+            digest.update(np.array(len(x), "<i8").tobytes())
+            digest.update(x.astype("<f8").tobytes())
+    assert digest.hexdigest() == GENERATE_SHA256[name]
 
 
 def test_output_length_includes_initial_segment():
