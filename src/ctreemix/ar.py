@@ -318,12 +318,14 @@ class ArModel:
         them continues its in-order sums bit for bit.  Clears each state's
         kept posterior.
         """
-        design = np.array(self.hp.design(lags))
-        xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
-        if isinstance(states, _ArRows):
-            states.cols.sums[states.ids] += np.concatenate(((1.0, xx), xd, dd.ravel()))
+        design = self.hp.design(lags)
+        if isinstance(states, _ArRows):  # the row (1, x*x, x*d, d d'), built from Python floats
+            row = [1.0, x * x, *[x * v for v in design], *[a * b for a in design for b in design]]
+            states.cols.sums[states.ids] += row
             states.cols.resid[states.ids] = np.nan
             return
+        design = np.array(design)
+        xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
         for st in states:
             st.count += 1
             st.s1 += xx
@@ -375,6 +377,21 @@ class ArModel:
         """Plug-in one-step predictive mean and variance at the MAP parameters; prior mode for empty states."""
         post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)
         return float(np.dot(post.mean, self.hp.design(lags))), post.map_sigma2
+
+    def predict_node(self, cols: _ArColumns, i: int, lags: Sequence[float]) -> tuple[float, float]:
+        """``predict_from_state(cols[i], lags)``, read in place from node i's kept posterior.
+
+        The mean is the same np.dot of the kept ``loc`` row and the design,
+        the variance the same IG mode as ``ArPosterior.map_sigma2``, in the
+        same order, so both equal the copy's bit for bit.  A row whose sums
+        changed since its last scoring goes through the copy.
+        """
+        resid = cols.resid.item(i)
+        if resid != resid:
+            return self.predict_from_state(cols[i], lags)
+        hp = self.hp
+        return (float(np.dot(cols.loc[i], hp.design(lags))),
+                (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * cols.sums.item(i, 0) + 1.0))
 
     def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
         post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)

@@ -396,6 +396,10 @@ class ArchModel:
             raise RuntimeError("no fitted coefficients available for prediction")
         return 0.0, float(np.dot(theta, self.design(lags)))
 
+    def predict_node(self, states: "_ArchStates", i: int, lags: Sequence[float]) -> tuple[float, float]:
+        """``predict_from_state`` of node i's own state."""
+        return self.predict_from_state(states[i], lags)
+
     def leaf_param_doc(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState] = None) -> dict:
         """The leaf's coefficients and count; a leaf without data shows the pooled root fit with count 0."""
         theta = self._params_or_pooled(state, root_state)

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -162,14 +163,13 @@ def _load_series(args):
 def _train_len(args, n: int, need_test: bool = True) -> int:
     """The training-prefix length: --split (below 1 a fraction of n, from 1 a whole count), or all but
     --test-last; half of n if neither is given.  It leaves at least one test sample if need_test."""
+    split = 0.5 if args.split is None else args.split
     if args.test_last is not None:
         out = n - args.test_last
-    elif args.split is not None and args.split >= 1.0:
-        if args.split != int(args.split):
-            raise ValueError(f"--split {args.split!r} is neither a fraction below 1 nor a whole count of samples")
-        out = int(args.split)
+    elif not isfinite(split) or split >= 1.0 and split != int(split):
+        raise ValueError(f"--split {split!r} is neither a fraction below 1 nor a whole count of samples")
     else:
-        out = int(n * (0.5 if args.split is None else args.split))
+        out = int(split) if split >= 1.0 else int(n * split)
     if not 0 < out <= n - need_test:
         raise ValueError(f"--split/--test-last leaves no usable train/test data (train={out}, n={n})")
     return out

@@ -82,7 +82,7 @@ class FittedModel:
         node = self.trie.map_node(self.current_context())
         if node is None:  # a context never observed: the pooled root statistics may stand in
             return self.model.predict_from_state(None, self.current_lags(), self.trie.root.state)
-        return self.model.predict_from_state(node.state, self.current_lags())  # a node holds data
+        return self.model.predict_node(self.trie.states, node.id, self.current_lags())  # a node holds data
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
         """MAP parameter document for every leaf of the given (default MAP) tree."""

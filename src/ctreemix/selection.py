@@ -69,10 +69,13 @@ def candidate_grid(train: Sequence[float], m: int, thresholds: Optional[Sequence
                    order: Optional[int] = None, max_order: int = 5, points: int = 17) -> SelectionGrid:
     """The given threshold tuples (else the percentile grid) by the given order (else 1..max_order).
 
-    Every candidate must have m - 1 thresholds, so that all cells share one alphabet.
+    Every candidate must have m - 1 thresholds, so that all cells share one alphabet, and a searched
+    order needs max_order >= 1.
     """
     if m < 2:
         raise ValueError("alphabet size must be >= 2")
+    if order is None and max_order < 1:
+        raise ValueError(f"--max-order {max_order} is below 1, so no order is left to search")
     if thresholds is None:
         thresholds = percentile_threshold_grid(train, m, points)
     for thr in thresholds:

@@ -34,6 +34,11 @@ ids.  A leaf model is any object providing::
                    -> update the sweeps after the ``step``-th online sample
                       was observed along ``path`` (the root-first node ids
                       ``observe`` returned), e.g. by ``trie.refresh_path(path)``
+    predict_node(states, i, lags)
+                   -> for ``FittedModel``, the one-step predictive (mean,
+                      variance) at the MAP parameters of node i of a store:
+                      ``predict_from_state(states[i], lags)``, which it may
+                      read in place
     predict_from_state(state, lags, root_state)
                    -> for ``FittedModel``, the one-step predictive (mean,
                       variance) at the MAP parameters of ``state``

@@ -392,6 +392,19 @@ class TestPredictive:
         mean, var = model.predict_from_state(None, (2.0,))
         assert mean == 0.0 and var == pytest.approx(0.5)
 
+    def test_node_read_in_place_and_after_a_change(self):
+        # predict_node reads a scored row's kept posterior in place, and solves a row whose sums changed since
+        model = ArModel(ArHyperParams(order=2, intercept=True))
+        series = generate(builtin_specs()["sim_1"].spec, 300, seed=2)[:300]
+        cols = fit_series(series, model, Quantizer((0.0,)), 3).trie.states
+        lags = (0.3, -1.2)
+        for i in range(cols.n):
+            assert model.predict_node(cols, i, lags) == model.predict_from_state(cols[i], lags)
+        model.observe(cols.take([0, 2]), 0.7, (0.1, 0.4))
+        assert np.isnan(cols.resid[[0, 2]]).all()
+        for i in (0, 2):
+            assert model.predict_node(cols, i, lags) == model.predict_from_state(cols[i], lags)
+
     def test_intercept_design(self):
         hp = ArHyperParams(order=2, intercept=True)
         assert hp.design((3.0, 4.0)) == (1.0, 3.0, 4.0)

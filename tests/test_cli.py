@@ -321,6 +321,15 @@ def test_rejected_configurations(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_order", ["0", "-2"])
+def test_evidence_grid_rejects_a_largest_order_below_one(tmp_path, capsys, max_order):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    out = tmp_path / "grid.csv"
+    assert run(["evidence-grid", str(data), "--max-order", max_order, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --max-order {max_order} is below 1, so no order is left to search\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["fit", "--thresholds", "0", "--order", "2"],
     ["fit", "--auto-thresholds", "--order", "2"],
@@ -450,7 +459,7 @@ class TestSplit:
             self.train_len(100, test_last=100)
 
 
-@pytest.mark.parametrize("split", ["1.9", "300.5"])
+@pytest.mark.parametrize("split", ["1.9", "300.5", "inf", "nan"])
 def test_forecast_rejects_a_fractional_split_count(tmp_path, capsys, split):
     data = simulate_csv(tmp_path, n=600, seed=9)
     out = tmp_path / "report.json"

@@ -75,6 +75,37 @@ def test_updates_after_columnar_fit_match_refits():
     assert_same_fit(fitted, per_sample_fit(series, small_ar_model(2), q, 6))
 
 
+# (id, spec, training length, online steps, thresholds, order, intercept, depth, the kinds of step that must occur)
+ONLINE_READS = [
+    ("sim_1-ar2-binary", SIM_1, 600, 600, (0.0,), 2, False, 10, ()),
+    ("ternary-ar5-intercept", SIM_2, 60, 300, (-0.5, 0.5), 5, True, 6, ("unseen", "copied")),
+]
+
+
+@pytest.mark.parametrize("case", ONLINE_READS, ids=[c[0] for c in ONLINE_READS])
+def test_predict_next_equals_the_copy_path(case):
+    # predict_next reads the MAP node's kept posterior in place; at every step it must equal, bit for bit,
+    # predict_from_state on the node's state copied out of the store, and the prior's at a context never observed
+    _, spec, train, steps, thresholds, order, intercept, depth, must = case
+    series = generate(spec, train + steps, seed=5)[:train + steps]
+    fitted = fit_series(series[:train], small_ar_model(order, intercept), Quantizer(thresholds), depth)
+    model, copied = fitted.model, set(fitted.trie._sweep_plan()[1])  # single-child nodes given a fit by copy_fit
+    seen = set()
+    for x in series[train:]:
+        context, lags = fitted.current_context(), fitted.current_lags()
+        node = fitted.trie.map_node(context)
+        if node is None:
+            expected = model.predict_from_state(None, lags, fitted.trie.root.state)
+            seen.add("unseen")
+        else:
+            expected = model.predict_from_state(node.state, lags)
+            seen.add("copied" if node.id in copied else "scored")
+        assert [v.hex() for v in fitted.predict_next()] == [v.hex() for v in expected]
+        fitted.update(float(x))
+        copied.difference_update(fitted.trie.walk(context[:d]).id for d in range(depth + 1))  # rescored
+    assert "scored" in seen and set(must) <= seen
+
+
 def test_arch_updates_after_columnar_fit_hold_the_refit_rows():
     # ARCH evidence depends on the warm-refit history, so compare node data only
     series = generate(ARCH_SIM, 400, seed=7)[:400]
