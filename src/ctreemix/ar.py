@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lgamma, log
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -368,35 +368,33 @@ class ArModel:
     def log_pe(self, states) -> list[float]:
         return log_pe_ar(states, self.hp)
 
-    def predict_from_state(
-        self,
-        state: Optional[ArSufficientStats],
-        lags: Sequence[float],
-        root_state: Optional[ArSufficientStats] = None,
-    ) -> tuple[float, float]:
-        """Plug-in one-step predictive mean and variance at the MAP parameters; prior mode for empty states."""
-        post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)
-        return float(np.dot(post.mean, self.hp.design(lags))), post.map_sigma2
+    def predict(self, cols: _ArColumns, i: int, lags: Sequence[float]) -> tuple[float, float]:
+        """Plug-in one-step predictive (mean, variance) at node i's MAP parameters, read in place.
 
-    def predict_node(self, cols: _ArColumns, i: int, lags: Sequence[float]) -> tuple[float, float]:
-        """``predict_from_state(cols[i], lags)``, read in place from node i's kept posterior.
-
-        The mean is the same np.dot of the kept ``loc`` row and the design,
-        the variance the same IG mode as ``ArPosterior.map_sigma2``, in the
-        same order, so both equal the copy's bit for bit.  A row whose sums
-        changed since its last scoring goes through the copy.
+        The mean is np.dot of the kept ``loc`` row and the design, the
+        variance the mode of IG(tau + n/2, lam + resid/2), the values
+        ``posterior_ar`` gives on a copy of the node's state, bit for bit.
+        A row whose sums changed since its last scoring is solved in place
+        first.  At i = -1, a context never observed, the posterior is the
+        prior: loc 0, resid 0.0 and count 0.
         """
+        hp = self.hp
+        if i < 0:
+            return float(np.dot(np.zeros(hp.dim), hp.design(lags))), hp.lam / (hp.tau + 1.0)
         resid = cols.resid.item(i)
         if resid != resid:
-            return self.predict_from_state(cols[i], lags)
-        hp = self.hp
+            resid = _posterior_core(cols.take([i]))[3].item(0)
         return (float(np.dot(cols.loc[i], hp.design(lags))),
                 (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * cols.sums.item(i, 0) + 1.0))
 
-    def leaf_param_doc(self, state: Optional[ArSufficientStats], root_state=None) -> dict:
-        post = posterior_ar(ArSufficientStats(self.hp.dim) if state is None else state, self.hp)
-        return {
-            "phi": [float(v) for v in post.mean],
-            "sigma2": float(post.map_sigma2),
-            "count": 0 if state is None else state.count,
-        }
+    def leaf_param_doc(self, cols: _ArColumns, i: int) -> dict:
+        """Node i's MAP coefficients, noise variance and count, read as ``predict`` reads them."""
+        hp = self.hp
+        if i < 0:
+            return {"phi": [0.0] * hp.dim, "sigma2": hp.lam / (hp.tau + 1.0), "count": 0}
+        resid = cols.resid.item(i)
+        if resid != resid:
+            resid = _posterior_core(cols.take([i]))[3].item(0)
+        count = int(cols.sums.item(i, 0))
+        return {"phi": cols.loc[i].tolist(), "sigma2": (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * count + 1.0),
+                "count": count}

@@ -378,34 +378,23 @@ class ArchModel:
         self.fit_states([state for state in states if state.log_pe_cached is None])
         return [state.log_pe_cached for state in states]
 
-    def map_params(self, state: Optional[ArchNodeState]) -> Optional[np.ndarray]:
-        if state is None or state.count == 0:
-            return None
-        self.log_pe([state])  # refits a stale state
-        return state.theta
-
-    def predict_from_state(
-        self,
-        state: Optional[ArchNodeState],
-        lags: Sequence[float],
-        root_state: Optional[ArchNodeState] = None,
-    ) -> tuple[float, float]:
-        """Zero-mean Gaussian predictive with plug-in variance theta' z at the MAP coefficients."""
-        theta = self._params_or_pooled(state, root_state)
+    def predict(self, states: Sequence[ArchNodeState], i: int, lags: Sequence[float]) -> tuple[float, float]:
+        """Zero-mean Gaussian predictive with plug-in variance theta' z at node i's MAP coefficients."""
+        theta = self._theta(states, i)
         if theta is None:
             raise RuntimeError("no fitted coefficients available for prediction")
         return 0.0, float(np.dot(theta, self.design(lags)))
 
-    def predict_node(self, states: "_ArchStates", i: int, lags: Sequence[float]) -> tuple[float, float]:
-        """``predict_from_state`` of node i's own state."""
-        return self.predict_from_state(states[i], lags)
+    def leaf_param_doc(self, states: Sequence[ArchNodeState], i: int) -> dict:
+        """Node i's coefficients and count; a node without data shows the pooled root fit with count 0."""
+        theta = self._theta(states, i)
+        return {"alpha": None if theta is None else theta.tolist(), "count": states[i].count if i >= 0 else 0}
 
-    def leaf_param_doc(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState] = None) -> dict:
-        """The leaf's coefficients and count; a leaf without data shows the pooled root fit with count 0."""
-        theta = self._params_or_pooled(state, root_state)
-        return {"alpha": None if theta is None else theta.tolist(), "count": 0 if state is None else state.count}
-
-    def _params_or_pooled(self, state: Optional[ArchNodeState], root_state: Optional[ArchNodeState]):
-        """The state's MAP coefficients, else (a leaf without data) the pooled root fit's, else None."""
-        theta = self.map_params(state)
-        return self.map_params(root_state) if theta is None else theta
+    def _theta(self, states: Sequence[ArchNodeState], i: int) -> Optional[np.ndarray]:
+        """Node i's MAP coefficients, refitting a stale fit; for a node without data (i = -1, a context never
+        observed, among them) the pooled fit of the root, states[0]; None if the root holds no data either."""
+        for state in (states[i], states[0]) if i >= 0 else (states[0],):
+            if state.count:
+                self.log_pe([state])  # refits a stale state
+                return state.theta
+        return None

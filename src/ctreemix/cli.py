@@ -8,6 +8,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from io import StringIO
@@ -310,12 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call, so a rebinding takes effect
-    try:
-        _check_flags(args)
-        return command(args)
-    except (ValueError, RuntimeError, OSError, KeyError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    shown = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        """Write a warning the filters let through as one line, each distinct message once."""
+        if str(message) not in shown:
+            shown.add(str(message))
+            sys.stderr.write(f"warning: {message}\n")
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            _check_flags(args)
+            return command(args)
+        except (ValueError, RuntimeError, OSError, KeyError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

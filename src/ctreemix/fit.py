@@ -80,21 +80,17 @@ class FittedModel:
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""
         node = self.trie.map_node(self.current_context())
-        if node is None:  # a context never observed: the pooled root statistics may stand in
-            return self.model.predict_from_state(None, self.current_lags(), self.trie.root.state)
-        return self.model.predict_node(self.trie.states, node.id, self.current_lags())  # a node holds data
+        return self.model.predict(self.trie.states, -1 if node is None else node.id, self.current_lags())
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
         """MAP parameter document for every leaf of the given (default MAP) tree."""
         if tree is None:
             tree = self.map_tree()
-        root = self.trie.root.state
-        return {leaf: self.model.leaf_param_doc(self._state(leaf), root) for leaf in tree.leaves}
-
-    def _state(self, context: tuple[int, ...]):
-        """The statistics of a context's node, or None if it was never observed."""
-        node = self.trie.walk(context)
-        return node.state if node is not None else None
+        docs = {}
+        for leaf in tree.leaves:
+            node = self.trie.walk(leaf)
+            docs[leaf] = self.model.leaf_param_doc(self.trie.states, -1 if node is None else node.id)
+        return docs
 
 
 def fit_series(

@@ -32,9 +32,10 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
     The first row is treated as a header iff it is non-numeric.  `column`
     may be an index or a header name; default is the last column.  Blank
     rows are skipped.  Rows with non-numeric or non-finite cells are rejected
-    with the file line on which the row ends.
+    with the file line on which the row ends.  The file is read as UTF-8; a
+    leading byte-order mark is dropped.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]  # each row's file line
     if not rows:
@@ -59,7 +60,7 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
             raise ValueError(f"{path}: line {line}: no column {idx}") from None
         v = _to_float(cell)
         if v is None or not math.isfinite(v):
-            raise ValueError(f"{path}: line {line}: non-numeric value {cell!r}")
+            raise ValueError(f"{path}: line {line}: {'non-numeric' if v is None else 'non-finite'} value {cell!r}")
         values.append(v)
     if not values:
         raise ValueError(f"{path}: no data rows")

@@ -34,19 +34,16 @@ ids.  A leaf model is any object providing::
                    -> update the sweeps after the ``step``-th online sample
                       was observed along ``path`` (the root-first node ids
                       ``observe`` returned), e.g. by ``trie.refresh_path(path)``
-    predict_node(states, i, lags)
+    predict(states, i, lags)
                    -> for ``FittedModel``, the one-step predictive (mean,
-                      variance) at the MAP parameters of node i of a store:
-                      ``predict_from_state(states[i], lags)``, which it may
-                      read in place
-    predict_from_state(state, lags, root_state)
-                   -> for ``FittedModel``, the one-step predictive (mean,
-                      variance) at the MAP parameters of ``state``
-    leaf_param_doc(state, root_state)
-                   -> for ``FittedModel``, one leaf's parameter document
+                      variance) at the MAP parameters of node i of a store
+    leaf_param_doc(states, i)
+                   -> for ``FittedModel``, the parameter document of node i
+                      of a store
 
-In the last two, ``state`` is None for a context never observed: ARCH leaves
-then fall back to the pooled fit of ``root_state``, AR leaves use their prior.
+Both read the node in place, keyed by its id, and take i = -1, the trie's
+id of a context never observed: AR leaves then read their prior mode, ARCH
+leaves the pooled fit of the root, ``states[0]``.
 
 Three quantities are maintained per node, all in natural-log domain:
 

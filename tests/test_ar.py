@@ -379,31 +379,65 @@ class TestPosterior:
         assert abs(post.map_sigma2 - s2) / s2 < 0.05
 
 
+def copy_path(model, cols, i, lags):
+    """The single-state reference: posterior_ar on node i's copied state (an empty one for i = -1), as hex."""
+    hp = model.hp
+    post = posterior_ar(cols[i] if i >= 0 else ArSufficientStats(hp.dim), hp)
+    return [float(np.dot(post.mean, hp.design(lags))).hex(), post.map_sigma2.hex()]
+
+
+def copy_doc(model, cols, i):
+    """The leaf document of node i's copied state (an empty one for i = -1), its floats as hex."""
+    hp = model.hp
+    st = cols[i] if i >= 0 else ArSufficientStats(hp.dim)
+    post = posterior_ar(st, hp)
+    return {"phi": [float(v).hex() for v in post.mean], "sigma2": float(post.map_sigma2).hex(), "count": st.count}
+
+
+def hex_doc(doc):
+    return {"phi": [v.hex() for v in doc["phi"]], "sigma2": doc["sigma2"].hex(), "count": doc["count"]}
+
+
 class TestPredictive:
     def test_plug_in(self):
         # stats whose MAP is phi = 2/(3+1) = 0.5 and sigma2 = (1 + 0/2)/(1 + 36/2 + 1) = 0.05
         model = ArModel(HP1)
-        st = ArSufficientStats(1)
-        st.count, st.s1, st.s2, st.s3 = 36, 1.0, [2.0], [[3.0]]
-        assert model.predict_from_state(st, (1.0,)) == (0.5, 0.05)
+        cols = model.new_states(1)
+        cols.sums[0] = (36, 1.0, 2.0, 3.0)
+        assert model.predict(cols, 0, (1.0,)) == (0.5, 0.05)
 
     def test_empty_leaf_uses_prior_mode(self):
         model = ArModel(HP1)
-        mean, var = model.predict_from_state(None, (2.0,))
+        mean, var = model.predict(model.new_states(1), -1, (2.0,))
         assert mean == 0.0 and var == pytest.approx(0.5)
 
     def test_node_read_in_place_and_after_a_change(self):
-        # predict_node reads a scored row's kept posterior in place, and solves a row whose sums changed since
+        # predict and leaf_param_doc read a scored row's kept posterior in place, and solve in place a row
+        # whose sums changed since; both equal the single-state reference on a copy, bit for bit
         model = ArModel(ArHyperParams(order=2, intercept=True))
         series = generate(builtin_specs()["sim_1"].spec, 300, seed=2)[:300]
         cols = fit_series(series, model, Quantizer((0.0,)), 3).trie.states
         lags = (0.3, -1.2)
         for i in range(cols.n):
-            assert model.predict_node(cols, i, lags) == model.predict_from_state(cols[i], lags)
+            assert [v.hex() for v in model.predict(cols, i, lags)] == copy_path(model, cols, i, lags)
+            assert hex_doc(model.leaf_param_doc(cols, i)) == copy_doc(model, cols, i)
         model.observe(cols.take([0, 2]), 0.7, (0.1, 0.4))
         assert np.isnan(cols.resid[[0, 2]]).all()
         for i in (0, 2):
-            assert model.predict_node(cols, i, lags) == model.predict_from_state(cols[i], lags)
+            expected = copy_path(model, cols, i, lags)  # from the copy, before the row is solved in place
+            assert [v.hex() for v in model.predict(cols, i, lags)] == expected
+            assert not np.isnan(cols.resid[i])
+        model.observe(cols.take([0, 2]), -0.4, (0.7, -0.2))
+        assert np.isnan(cols.resid[[0, 2]]).all()
+        for i in range(cols.n):  # rows 0 and 2 stale again
+            expected = copy_doc(model, cols, i)
+            assert hex_doc(model.leaf_param_doc(cols, i)) == expected
+        for hp in (ArHyperParams(order=2, tau=2.5, lam=0.3), ArHyperParams(order=2, intercept=True, tau=2.5, lam=0.3)):
+            # i = -1, a context never observed: the solve of an empty state, the signs of zero means included
+            model = ArModel(hp)
+            for lags in ((0.3, -1.2), (-0.3, -1.2), (-0.0, 2.0), (0.0, 0.0)):
+                assert [v.hex() for v in model.predict(cols, -1, lags)] == copy_path(model, cols, -1, lags)
+            assert hex_doc(model.leaf_param_doc(cols, -1)) == copy_doc(model, cols, -1)
 
     def test_intercept_design(self):
         hp = ArHyperParams(order=2, intercept=True)

@@ -221,22 +221,23 @@ def state_fitted_at(theta):
 class TestPredictive:
     def test_dot_product_variance(self):
         model = ArchModel(ArchConfig(order=1))
-        mean, var = model.predict_from_state(state_fitted_at([0.1, 0.2]), (2.0,))  # z = (1, 4)
+        mean, var = model.predict([state_fitted_at([0.1, 0.2])], 0, (2.0,))  # z = (1, 4)
         assert mean == 0.0 and var == pytest.approx(0.9)
 
     def test_constant_variance_leaf_matches_gaussian_nll(self):
         model = ArchModel(ArchConfig(order=0))
         y = 0.8
-        _, var = model.predict_from_state(state_fitted_at([0.37]), ())
+        _, var = model.predict([state_fitted_at([0.37])], 0, ())
         log_density = -0.5 * (math.log(2 * math.pi) + math.log(var)) - y * y / (2 * var)
         assert log_density == pytest.approx(float(stats.norm.logpdf(y, 0.0, math.sqrt(0.37))), rel=1e-12)
 
     def test_pooled_fallback_for_empty_leaf(self):
         root = simulate_arch_node(300, (0.2, 0.25), seed=14)
         model = ArchModel(ArchConfig(order=1, fisher_iters=30))
-        mean, var = model.predict_from_state(None, (1.5,), root_state=root)
-        assert mean == 0.0
-        assert var == pytest.approx(float(root.theta @ np.array([1.0, 2.25])))
+        for states, i in (([root], -1), ([root, ArchNodeState()], 1)):  # never observed, observed without data
+            mean, var = model.predict(states, i, (1.5,))
+            assert mean == 0.0
+            assert var == pytest.approx(float(root.theta @ np.array([1.0, 2.25])))
 
     def test_no_fitted_coefficients_after_a_fit_of_the_initial_segment(self):
         # not even the root holds a row to fit, so there is no pooled fit to fall back on
@@ -249,10 +250,10 @@ class TestPredictive:
     def test_empty_leaf_documents_pooled_fit(self):
         root = simulate_arch_node(300, (0.2, 0.25), seed=14)
         model = ArchModel(ArchConfig(order=1, fisher_iters=30))
-        pooled = model.leaf_param_doc(root)
+        pooled = model.leaf_param_doc([root], 0)
         assert pooled["count"] == 300 and pooled["alpha"] is not None
-        for empty in (None, ArchNodeState()):
-            assert model.leaf_param_doc(empty, root) == {"alpha": pooled["alpha"], "count": 0}
+        for states, i in (([root], -1), ([root, ArchNodeState()], 1)):
+            assert model.leaf_param_doc(states, i) == {"alpha": pooled["alpha"], "count": 0}
 
 
 def rows_state(alpha, seed, n=100):

@@ -594,6 +594,18 @@ def test_run_level_errors_fail_as_themselves(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+def test_a_library_warning_is_one_line(tmp_path, capsys):
+    # every fit of the grid warns that beta < 1/2; the run writes the message once, on one line, and succeeds
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    out = tmp_path / "grid.csv"
+    assert run(["evidence-grid", str(data), "--thresholds", "0", "--depth", "2", "--max-order", "3",
+                "--beta", "0.3", "-o", str(out)]) == 0
+    assert re.fullmatch(r"warning: beta < 1/2: the pruned tree maximises the stated recursion but is not guaranteed "
+                        r"to be the posterior mode\nselected thresholds=\[0\.0\] order=\d log_evidence=\S+\n",
+                        capsys.readouterr().err)
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
 @pytest.mark.parametrize("args", [
     ["evidence-grid", "--thresholds", "0", "--depth", "2", "--max-order", "2", "--beta", "1.5"],
     ["fit", "--thresholds", "0", "--order", "2", "--depth", "2", "--beta", "1.5"],

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ctreemix import ArchConfig, ArchModel, Quantizer, builtin_specs, fit_series, generate
+from ctreemix import (ArchConfig, ArchModel, ArSufficientStats, Quantizer, builtin_specs, fit_series, generate,
+                      posterior_ar)
 
 from helpers import ScalarArchModel, per_sample_fit, small_ar_model, trie_contents
 
@@ -85,7 +86,7 @@ ONLINE_READS = [
 @pytest.mark.parametrize("case", ONLINE_READS, ids=[c[0] for c in ONLINE_READS])
 def test_predict_next_equals_the_copy_path(case):
     # predict_next reads the MAP node's kept posterior in place; at every step it must equal, bit for bit,
-    # predict_from_state on the node's state copied out of the store, and the prior's at a context never observed
+    # posterior_ar on the node's state copied out of the store, and on an empty state at a context never observed
     _, spec, train, steps, thresholds, order, intercept, depth, must = case
     series = generate(spec, train + steps, seed=5)[:train + steps]
     fitted = fit_series(series[:train], small_ar_model(order, intercept), Quantizer(thresholds), depth)
@@ -95,12 +96,13 @@ def test_predict_next_equals_the_copy_path(case):
         context, lags = fitted.current_context(), fitted.current_lags()
         node = fitted.trie.map_node(context)
         if node is None:
-            expected = model.predict_from_state(None, lags, fitted.trie.root.state)
+            post = posterior_ar(ArSufficientStats(model.hp.dim), model.hp)
             seen.add("unseen")
         else:
-            expected = model.predict_from_state(node.state, lags)
+            post = posterior_ar(node.state, model.hp)
             seen.add("copied" if node.id in copied else "scored")
-        assert [v.hex() for v in fitted.predict_next()] == [v.hex() for v in expected]
+        expected = [float(np.dot(post.mean, model.hp.design(lags))).hex(), post.map_sigma2.hex()]
+        assert [v.hex() for v in fitted.predict_next()] == expected
         fitted.update(float(x))
         copied.difference_update(fitted.trie.walk(context[:d]).id for d in range(depth + 1))  # rescored
     assert "scored" in seen and set(must) <= seen

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -18,6 +19,9 @@ class TestIngest:
         p = tmp_path / "a.csv"
         p.write_text("1\n2\n3\n")
         assert sio.ingest_csv(str(p)).tolist() == [1.0, 2.0, 3.0]
+        bom = tmp_path / "a-bom.csv"  # a byte-order mark is not part of the first cell
+        bom.write_bytes(codecs.BOM_UTF8 + b"1\n2\n3\n")
+        assert sio.ingest_csv(str(bom)).tolist() == [1.0, 2.0, 3.0]
 
     def test_header_and_named_column(self, tmp_path):
         p = tmp_path / "b.csv"
@@ -26,6 +30,9 @@ class TestIngest:
         assert sio.ingest_csv(str(p)).tolist() == [1.5, 2.5]  # default last column
         with pytest.raises(ValueError):
             sio.ingest_csv(str(p), "nope")
+        bom = tmp_path / "b-bom.csv"
+        bom.write_bytes(codecs.BOM_UTF8 + b"value,date\n1.5,2020-01\n2.5,2020-02\n")
+        assert sio.ingest_csv(str(bom), "value").tolist() == [1.5, 2.5]
 
     def test_index_column(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -35,7 +42,7 @@ class TestIngest:
     def test_nan_row_rejected_with_line_number(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("value\n1\nNaN\n3\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3: non-finite value 'NaN'$"):
             sio.ingest_csv(str(p))
 
     def test_non_numeric_rejected(self, tmp_path):
