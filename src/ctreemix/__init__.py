@@ -17,20 +17,14 @@ from .ar import (
     log_pe_ar,
     posterior_ar,
 )
-from .arch import (
-    ArchConfig,
-    ArchModel,
-    ArchNodeState,
-    arch_loglik,
-    arch_score_and_info,
-)
+from .arch import ArchConfig, ArchModel, ArchNodeState
 from .fit import FittedModel, fit_series
 from .forecasting import EvalReport, ForecastRecord, RunConfig, rolling_forecast
 from .io import TransformSpec, apply_transform, ingest_csv, model_document
 from .quantizer import Quantizer
-from .selection import SelectionGrid, percentile_threshold_grid, select_hyperparams
+from .selection import SelectionGrid, select_hyperparams
 from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
-from .tree import ContextTrie, TreeModel, default_beta, log_prior
+from .tree import ContextTrie, TreeModel
 
 __version__ = "0.1.0"
 
@@ -38,12 +32,11 @@ __all__ = [
     "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
     "log_pe_ar", "posterior_ar",
     "ArchConfig", "ArchModel", "ArchNodeState",
-    "arch_loglik", "arch_score_and_info",
     "FittedModel", "fit_series",
     "EvalReport", "ForecastRecord", "RunConfig", "rolling_forecast",
     "TransformSpec", "apply_transform", "ingest_csv", "model_document",
     "Quantizer",
-    "SelectionGrid", "percentile_threshold_grid", "select_hyperparams",
+    "SelectionGrid", "select_hyperparams",
     "ArLeaf", "ArchLeaf", "GenerativeSpec", "builtin_specs", "generate",
-    "ContextTrie", "TreeModel", "default_beta", "log_prior",
+    "ContextTrie", "TreeModel",
 ]

@@ -63,21 +63,17 @@ class ArHyperParams:
 class ArSufficientStats:
     """One node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
 
-    ``loc`` and ``resid`` hold the posterior location (s3 + I)^{-1} s2 and
-    the residual d that ``log_pe_ar`` solved when it last scored the
-    state, or None when the sums changed since (``ArModel.observe`` clears
-    them).  A trie keeps its nodes' sums in ``_ArColumns`` instead; its
+    A trie keeps its nodes' sums in ``_ArColumns`` instead; its
     ``nodes()`` hand out copies of a row as ``ArSufficientStats``.
     """
 
-    __slots__ = ("count", "s1", "s2", "s3", "loc", "resid")
+    __slots__ = ("count", "s1", "s2", "s3")
 
     def __init__(self, dim: int):
         self.count = 0
         self.s1 = 0.0
         self.s2 = np.zeros(dim)
         self.s3 = np.zeros((dim, dim))
-        self.loc = self.resid = None
 
     @property
     def dim(self) -> int:
@@ -108,12 +104,10 @@ class _ArColumns:
         return sums[:, 0], sums[:, 1], sums[:, 2:2 + q], sums[:, 2 + q:].reshape(-1, q, q)
 
     def __getitem__(self, i: int) -> ArSufficientStats:
-        """A copy of node i's sums and kept posterior."""
+        """A copy of node i's sums."""
         row, q = self.sums[i].copy(), self.q
         st = ArSufficientStats.__new__(ArSufficientStats)
         st.count, st.s1, st.s2, st.s3 = int(row[0]), float(row[1]), row[2:2 + q], row[2 + q:].reshape(q, q)
-        resid = self.resid.item(i)
-        st.loc, st.resid = (None, None) if resid != resid else (self.loc[i].copy(), resid)
         return st
 
     def take(self, ids) -> "_ArRows":
@@ -185,8 +179,8 @@ def _posterior_core(rows: _ArRows):
     they do not depend on the rest of the batch.  Raises
     np.linalg.LinAlgError on a pivot <= 0; a NaN pivot (a series that
     overflows float64) goes through to a NaN evidence.  The columns keep
-    loc and d as the nodes' posteriors; loc is read only, as states scored
-    outside a trie keep its rows.
+    loc and d as the nodes' posteriors; the returned loc is read only, as
+    ``posterior_ar`` hands out its rows.
     """
     cols, ids, q = rows.cols, rows.ids, rows.cols.q
     sums = cols.sums.take(ids, axis=0).T.copy()
@@ -248,9 +242,10 @@ def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
     sum of np.log of the factor's diagonal in column order, lgamma comes
     from a table of math.lgamma values, and the rest is one array
     expression.  Each value is bit-identical to scoring its state alone.
-    Each state keeps its posterior location and residual for
-    ``posterior_ar``.  Raises np.linalg.LinAlgError if a matrix s3 + I is
-    not numerically positive definite.
+    A trie's rows keep their posterior location and residual in its
+    columns; states of their own are only read.  Raises
+    np.linalg.LinAlgError if a matrix s3 + I is not numerically positive
+    definite.
     """
     rows = _as_rows(states)
     n, diag, loc, d = _posterior_core(rows)
@@ -264,9 +259,6 @@ def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
     half_n = 0.5 * n
     out = -(half_n * LOG_2PI + half_logdet) + lgammas + prior - (tau + half_n) * np.log(lam + 0.5 * d)
     out[n == 0.0] = 0.0
-    if rows is not states:
-        for st, loc_k, d_k in zip(states, loc, d.tolist()):
-            st.loc, st.resid = loc_k, d_k
     return out.tolist()
 
 
@@ -285,16 +277,13 @@ class ArPosterior:
 
 
 def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
-    """Exact coefficient/variance posterior for one node.
+    """Exact coefficient/variance posterior for one node, solved from its sums.
 
-    Reads the location and residual its last scoring kept; solves only a
-    state not scored since its sums last changed.
+    The single-state reference for the posterior a trie keeps per node:
+    the same kernel on the state alone, so the two agree bit for bit.
     """
-    loc, resid = stats.loc, stats.resid
-    if loc is None:
-        _, _, locs, d = _posterior_core(_as_rows([stats]))
-        loc, resid = locs[0], float(d[0])
-    return ArPosterior(mean=loc, ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * resid)
+    _, _, loc, d = _posterior_core(_as_rows([stats]))
+    return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * d.item(0))
 
 
 class ArModel:
@@ -315,8 +304,8 @@ class ArModel:
         """Add one sample to each state (ArSufficientStats, or a batch of a trie's nodes), in place.
 
         The terms are the float64 products observe_batch sums, so adding
-        them continues its in-order sums bit for bit.  Clears each state's
-        kept posterior.
+        them continues its in-order sums bit for bit.  Marks a trie's rows
+        stale (resid NaN).
         """
         design = self.hp.design(lags)
         if isinstance(states, _ArRows):  # the row (1, x*x, x*d, d d'), built from Python floats
@@ -331,7 +320,6 @@ class ArModel:
             st.s1 += xx
             st.s2 += xd
             st.s3 += dd
-            st.loc = st.resid = None
 
     def observe_batch(self, labels: np.ndarray, x: np.ndarray, lags: np.ndarray) -> _ArColumns:
         """The columns of nodes 0..K-1, node k holding the sums of the samples i with k in labels[:, i].

@@ -22,8 +22,7 @@ a node's rows stays one numpy call on that node's rows alone.  A node's
 fit is therefore bit-identical whether it is fitted alone, in its context
 path or with its whole depth, which keeps online updates aligned with cold
 refits.  ``ArchModel.fit_states`` (and ``fit_state``, a stack of one) is
-the one way to fit; ``arch_loglik`` and ``arch_score_and_info`` evaluate
-one state at any theta.
+the one way to fit; ``_Stack`` over one state evaluates it at any theta.
 """
 
 from __future__ import annotations
@@ -269,24 +268,6 @@ class _Stack:
                 log_box += log(max(mass, 1e-12))
             values.append(0.5 * q * LOG_2PI - 0.5 * logdet[k] + loglik - log(th[0]) + log_box)
         return values
-
-
-def arch_loglik(state: ArchNodeState, theta: np.ndarray) -> float:
-    """Gaussian log likelihood of the node's data under coefficient vector theta."""
-    if state.count == 0:
-        return 0.0
-    stack = _Stack([state])
-    return stack.loglik(stack.sigma2(np.asarray(theta, dtype=float)[None]))[0]
-
-
-def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Score vector and expected information at theta.
-
-    score = 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}
-    info  = 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'
-    """
-    score, info = _Stack([state]).score_and_info(np.asarray(theta, dtype=float)[None])
-    return score[0], info[0]
 
 
 def initial_theta(state: ArchNodeState, order: int) -> np.ndarray:

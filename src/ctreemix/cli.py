@@ -136,11 +136,23 @@ def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
     return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _emit(*outputs: tuple[str, Optional[str]]) -> None:
-    """Write each text to its path, or to stdout where the path is None.  Every path is opened for appending
-    (which changes no byte) before any text is written, so one that cannot be opened fails the command and
-    leaves no output behind; a failure removes the files this call created."""
+    """Write each text to its path, or to stdout where the path is None.  Two paths that name one file fail
+    the command before any is opened.  Every path is opened for appending (which changes no byte) before any
+    text is written, so one that cannot be opened fails the command and leaves no output behind; a failure
+    removes the files this call created."""
     paths = [path for _, path in outputs if path]
+    for k, path in enumerate(paths):
+        for other in paths[:k]:
+            if _same_file(other, path):
+                raise ValueError(f"two outputs name one file: {other} and {path}")
     made = [path for path in paths if not os.path.lexists(path)]
     try:
         for path in paths:
@@ -155,6 +167,15 @@ def _emit(*outputs: tuple[str, Optional[str]]) -> None:
         for path in filter(os.path.lexists, made):
             os.remove(path)
         raise
+
+
+def _read_json(path: str):
+    """The JSON document in the UTF-8 file at path; an error reading it names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_series(args):
@@ -192,8 +213,7 @@ def cmd_forecast(args) -> int:
     series, tspec = _load_series(args)
     train_len = _train_len(args, len(series))
     if args.from_model:
-        with open(args.from_model) as fh:
-            cfg = RunConfig.from_document(json.loads(fh.read()))
+        cfg = RunConfig.from_document(_read_json(args.from_model))
         check_training_length(train_len, cfg.depth, (cfg.order,))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
@@ -211,8 +231,7 @@ def cmd_simulate(args) -> int:
         named = registry[args.name]
         spec, default_n = named.spec, named.default_n
     else:
-        with open(args.spec) as fh:
-            spec = parse_generative_spec(json.load(fh))
+        spec = parse_generative_spec(_read_json(args.spec))
         default_n = 500
     n = args.n if args.n is not None else default_n
     _emit((sio.series_csv(generate(spec, n, args.seed)), args.output))
@@ -324,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             _check_flags(args)
             return command(args)
-        except (ValueError, RuntimeError, OSError, KeyError) as exc:
+        except (ValueError, RuntimeError, OSError, KeyError, Warning) as exc:  # Warning: a filter made it an error
             sys.stderr.write(f"error: {exc}\n")
             return 1
 

@@ -33,11 +33,18 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
     may be an index or a header name; default is the last column.  Blank
     rows are skipped.  Rows with non-numeric or non-finite cells are rejected
     with the file line on which the row ends.  The file is read as UTF-8; a
-    leading byte-order mark is dropped.
+    leading byte-order mark is dropped, and a byte that is not UTF-8 is
+    rejected with its line.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]  # each row's file line
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after any byte-order mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
+    reader = csv.reader(StringIO(text, newline=""))
+    rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]  # each row's file line
     if not rows:
         raise ValueError(f"{path}: empty file")
     header: Optional[list[str]] = None

@@ -18,7 +18,7 @@ from ctreemix import (
     Quantizer, TreeModel, generate,
 )
 from ctreemix._num import LOG_2PI, log_add
-from ctreemix.arch import ALPHA0_FLOOR, _DAMP, initial_theta
+from ctreemix.arch import ALPHA0_FLOOR, _DAMP, _Stack, initial_theta
 from ctreemix.tree import log_prior
 
 
@@ -224,6 +224,27 @@ def reference_sample_tree(trie, rng) -> TreeModel:
             for j in range(trie.m):
                 stack.append(prefix + (j,))
     return TreeModel(trie.m, tuple(leaves))
+
+
+# -- one ARCH state at any theta, through the library's batched kernel --
+
+
+def arch_loglik(state: ArchNodeState, theta: np.ndarray) -> float:
+    """Gaussian log likelihood of the node's data under coefficient vector theta."""
+    if state.count == 0:
+        return 0.0
+    stack = _Stack([state])
+    return stack.loglik(stack.sigma2(np.asarray(theta, dtype=float)[None]))[0]
+
+
+def arch_score_and_info(state: ArchNodeState, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score vector and expected information at theta.
+
+    score = 1/2 sum (1/sigma_i^2)(x_i^2/sigma_i^2 - 1) z_{i-1}
+    info  = 1/2 sum (1/sigma_i^4) z_{i-1} z_{i-1}'
+    """
+    score, info = _Stack([state]).score_and_info(np.asarray(theta, dtype=float)[None])
+    return score[0], info[0]
 
 
 # -- scalar ARCH oracle: one node at a time, as the library fitted nodes before its batched kernel --

@@ -21,6 +21,8 @@ from ctreemix.forecasting import RunConfig, rolling_forecast
 from ctreemix.selection import SelectionGrid, select_hyperparams
 
 from helpers import (
+    arch_loglik,
+    arch_score_and_info,
     brute_force_log_evidence,
     enumerate_trees,
     log_pe_ar_known_variance,
@@ -203,14 +205,14 @@ def test_c8_score_and_information():
         st = simulate_arch_node(60, (0.2, 0.25, 0.15), seed=300 + node_seed)
         for _ in range(10):
             theta = random_feasible_theta(rng, 2)
-            score, info = cm.arch_score_and_info(st, theta)
+            score, info = arch_score_and_info(st, theta)
             assert np.allclose(info, info.T)
             assert np.linalg.eigvalsh(info).min() > 0
             h = 1e-5
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd = (cm.arch_loglik(st, theta + e) - cm.arch_loglik(st, theta - e)) / (2 * h)
+                fd = (arch_loglik(st, theta + e) - arch_loglik(st, theta - e)) / (2 * h)
                 worst = max(worst, abs(score[j] - fd) / max(1.0, abs(fd)))
             checked += 1
     report("8", checked == 50 and worst <= 1e-4,
@@ -225,9 +227,9 @@ def test_c9_mle_matches_independent_optimiser():
         cm.ArchModel(cm.ArchConfig(order=2, fisher_iters=200)).fit_state(st)
         theta = st.theta
         res = optimize.minimize(
-            lambda t: -cm.arch_loglik(st, t),
+            lambda t: -arch_loglik(st, t),
             initial_theta(st, 2),
-            jac=lambda t: -cm.arch_score_and_info(st, t)[0],
+            jac=lambda t: -arch_score_and_info(st, t)[0],
             method="L-BFGS-B",
             bounds=[(1e-8, None), (0.0, 1.0), (0.0, 1.0)],
             options={"ftol": 1e-14, "gtol": 1e-10, "maxiter": 500},

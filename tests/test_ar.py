@@ -171,14 +171,12 @@ class TestBatchKernel:
 
     @staticmethod
     def assert_kept_posteriors_exact(fitted, hp):
-        # every node keeps the location and residual of a copy of its sums scored alone
+        # every node keeps the location and residual of a copy of its sums solved alone
+        cols = fitted.trie.states
         for _, node in fitted.trie.nodes():
-            st = node.state
-            copy = ArSufficientStats(hp.dim)
-            copy.count, copy.s1, copy.s2, copy.s3 = st.count, st.s1, st.s2.copy(), st.s3.copy()
-            log_pe_ar([copy], hp)
-            assert st.loc is not None and st.loc.tobytes() == copy.loc.tobytes()
-            assert type(st.resid) is float and st.resid == copy.resid
+            post, resid = posterior_ar(node.state, hp), cols.resid.item(node.id)
+            assert not math.isnan(resid) and cols.loc[node.id].tobytes() == post.mean.tobytes()
+            assert (hp.lam + 0.5 * resid).hex() == post.ig_scale.hex()
 
     @pytest.mark.parametrize("intercept", [False, True])
     def test_scoring_keeps_each_posterior(self, intercept):
@@ -194,19 +192,16 @@ class TestBatchKernel:
     def test_observe_clears_the_kept_posterior(self):
         hp = ArHyperParams(order=2)
         st = ArSufficientStats(hp.dim)
-        assert st.loc is None and st.resid is None
         ArModel(hp).observe([st], 0.5, (1.0, -1.0))
         log_pe_ar([st], hp)
-        assert st.loc is not None and st.resid is not None
         ArModel(hp).observe([st], 0.2, (0.5, 1.0))
-        assert st.loc is None and st.resid is None
         # the posterior of the changed sums is solved afresh
         post = posterior_ar(st, hp)
-        log_pe_ar([st], hp)
-        assert post.mean.tolist() == st.loc.tolist() and post.ig_scale == hp.lam + 0.5 * st.resid
+        _, _, loc, d = ar._posterior_core(ar._as_rows([st]))
+        assert post.mean.tolist() == loc[0].tolist() and post.ig_scale == hp.lam + 0.5 * d.item(0)
 
     def test_kept_posterior_is_read_only(self):
-        # a state keeps a row of the scored stack: an edit through the posterior must not reach it
+        # posterior_ar hands out a row of its solve: an edit through the posterior must not reach a later one
         hp = ArHyperParams(order=2)
         states = [ArSufficientStats(hp.dim) for _ in range(2)]
         for st, x in zip(states, (0.5, -0.3)):
@@ -264,22 +259,23 @@ class TestCholeskyKernel:
                 for _ in range(count):
                     ArModel(hp).observe([st], scale * rng.normal(), tuple(scale * rng.normal(size=order)))
                 states.append(st)
-        for st, pe in zip(states, log_pe_ar(states, hp)):
+        _, _, locs, resids = ar._posterior_core(ar._as_rows(states))
+        for st, pe, got_loc, got_d in zip(states, log_pe_ar(states, hp), locs, resids.tolist()):
             a = st.s3 + np.eye(hp.dim)
             sign, logdet = np.linalg.slogdet(a)
             loc = np.linalg.solve(a, st.s2)
             d = max(st.s1 - float(st.s2 @ loc), 0.0)
             assert sign == 1.0
             if st.count == 0:
-                assert pe == 0.0 and st.resid == 0.0 and st.loc.tolist() == [0.0] * hp.dim
+                assert pe == 0.0 and got_d == 0.0 and got_loc.tolist() == [0.0] * hp.dim
                 continue
             # d is s1 less a quadratic form of the same size, so its rounding is relative to s1
-            assert abs(st.resid - d) <= 1e-12 * st.s1
+            assert abs(got_d - d) <= 1e-12 * st.s1
             # two backward-stable factorisations differ by up to cond(s3 + I) times their rounding, in loc
             # and in log det: cond is about 1 + count * dim * scale^2, 1e6 and more at scale 1e3
             kappa = np.linalg.cond(a)
-            assert np.abs(st.loc - loc).max() <= 1e-12 * kappa * np.abs(loc).max()
-            assert abs(pe - self.closed_form(st, hp, logdet, st.resid)) <= 1e-12 * kappa * abs(pe)
+            assert np.abs(got_loc - loc).max() <= 1e-12 * kappa * np.abs(loc).max()
+            assert abs(pe - self.closed_form(st, hp, logdet, got_d)) <= 1e-12 * kappa * abs(pe)
 
     def test_pivot_below_zero_raises(self):
         st = ArSufficientStats(1)

@@ -11,8 +11,6 @@ from ctreemix import (
     ArchModel,
     ArchNodeState,
     Quantizer,
-    arch_loglik,
-    arch_score_and_info,
     builtin_specs,
     fit_series,
     generate,
@@ -21,7 +19,8 @@ from ctreemix import arch
 from ctreemix.arch import ALPHA0_FLOOR, initial_theta, project_feasible
 
 from helpers import (
-    ScalarArchModel, scalar_fisher_scoring, scalar_log_pe_arch_laplace, scalar_loglik, scalar_score_and_info,
+    ScalarArchModel, arch_loglik, arch_score_and_info, scalar_fisher_scoring, scalar_log_pe_arch_laplace,
+    scalar_loglik, scalar_score_and_info,
 )
 
 

@@ -2,12 +2,14 @@
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,7 +172,8 @@ def test_forecast_from_model_rejects_model_flags(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "not a JSON object"),
     ('{"model": "ar"}', "'quantizer.thresholds' is missing"),
-], ids=["list", "no-quantizer"])
+    ('{"model": "ar" "order": 2}', "m.json: Expecting ',' delimiter: line 1 column 16 (char 15)"),
+], ids=["list", "no-quantizer", "not-json"])
 def test_forecast_rejects_malformed_model_document(tmp_path, capsys, text, message):
     data = simulate_csv(tmp_path, n=120, seed=9)
     model_doc = tmp_path / "m.json"
@@ -426,13 +429,15 @@ AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
     ({"kind": "AR", "thresholds": [0.0], "leaves": [AR_LEAF]}, "spec field 'kind' is malformed: 'AR'"),
     ({**ARCH_SPEC_DOC, "leaves": [ARCH_SPEC_DOC["leaves"][0], {"context": [1]}]},
      "spec leaf 1 field 'alpha' is missing or malformed"),
+    (b'{"kind": "ar", bad}', "{path}: Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
+    (b'{"kind": "\xe9"}', "{path}: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte"),
 ], ids=["list", "thresholds-number", "no-sigma2", "phi-string", "context-number", "repeated-context",
-        "negative-burn-in", "kind-unknown", "arch-no-alpha"])
+        "negative-burn-in", "kind-unknown", "arch-no-alpha", "not-json", "not-utf-8"])
 def test_malformed_spec_file_fails_with_one_error_line(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert run(["simulate", "--spec", str(spec_path), "--n", "10", "-o", str(tmp_path / "sim.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=spec_path)}\n"
 
 
 class TestSplit:
@@ -606,6 +611,17 @@ def test_a_library_warning_is_one_line(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 1 + 3
 
 
+def test_a_warning_made_an_error_is_one_error_line(tmp_path, capsys):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    out = tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["fit", str(data), *FIXED, "--depth", "4", "--beta", "0.3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: beta < 1/2: the pruned tree maximises the stated recursion but is not "
+                                       "guaranteed to be the posterior mode\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["evidence-grid", "--thresholds", "0", "--depth", "2", "--max-order", "2", "--beta", "1.5"],
     ["fit", "--thresholds", "0", "--order", "2", "--depth", "2", "--beta", "1.5"],
@@ -773,6 +789,27 @@ def test_a_failed_forecast_keeps_an_earlier_report(tmp_path, capsys):
     assert rep.read_text() == "an earlier report\n"
 
 
+@pytest.mark.parametrize("records, earlier", [
+    ("r.json", False), ("./r.json", False), ("sub/../r.json", False), ("link.json", False),
+    ("./r.json", True), ("hard.json", True),
+], ids=["same-name", "dot-slash", "dot-dot", "dangling-link", "existing", "hard-link"])
+def test_two_outputs_naming_one_file_write_nothing(tmp_path, capsys, monkeypatch, records, earlier):
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    os.symlink("r.json", "link.json")
+    if earlier:
+        (tmp_path / "r.json").write_text("an earlier report\n")
+        os.link("r.json", "hard.json")
+    before = sorted(os.listdir(tmp_path))
+    assert run(["forecast", str(data), *FIXED, "-o", "r.json", "--records", records]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: two outputs name one file: r.json and {records}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+    if earlier:
+        assert (tmp_path / "r.json").read_text() == "an earlier report\n"
+
+
 def test_the_readme_flag_table_is_the_clis():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("| Flag | Commands | Not read with |")[1].split("\n\n")[0]
@@ -784,3 +821,15 @@ def test_the_readme_flag_table_is_the_clis():
         for flag in flags.split(", "):
             table[flag.split(" (")[0].strip("`")] = (set(takers), set(modes))
     assert table == {flag: (set(takers), set(modes)) for flag, (takers, modes, _) in cli._FLAGS.items()}
+
+
+def test_the_readme_public_api_is_all():
+    # the names README lists, by module and in order, are ctreemix.__all__, each the module's own object
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Public API\n")[1].split("\n## ")[0]
+    listed = []
+    for module, names in re.findall(r"^- `ctreemix\.(\w+)`: (.+)$", section, re.M):
+        for name in re.findall(r"`(\w+)`", names):
+            assert getattr(importlib.import_module(f"ctreemix.{module}"), name) is getattr(ctreemix, name)
+            listed.append(name)
+    assert listed == ctreemix.__all__

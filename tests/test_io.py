@@ -50,6 +50,13 @@ class TestIngest:
         p.write_text("1\noops\n")
         with pytest.raises(ValueError, match="line 2"):
             sio.ingest_csv(str(p))
+        for name, data in (("latin.csv", b"value\n1.0\n2.0\ncaf\xe9\n"),  # a Latin-1 byte
+                           ("latin-bom.csv", codecs.BOM_UTF8 + b"value\n1.0\n2.0\ncaf\xe9\n")):
+            p = tmp_path / name
+            p.write_bytes(data)
+            with pytest.raises(ValueError) as exc:
+                sio.ingest_csv(str(p))
+            assert str(exc.value) == f"{p}: line 4: not UTF-8 text (byte 0xe9)"
 
     @pytest.mark.parametrize("text, line", [
         ("value\n1.0\n\n2.0\nabc\n", 5),
