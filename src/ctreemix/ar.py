@@ -179,8 +179,7 @@ def _posterior_core(rows: _ArRows):
     they do not depend on the rest of the batch.  Raises
     np.linalg.LinAlgError on a pivot <= 0; a NaN pivot (a series that
     overflows float64) goes through to a NaN evidence.  The columns keep
-    loc and d as the nodes' posteriors; the returned loc is read only, as
-    ``posterior_ar`` hands out its rows.
+    loc and d as the nodes' posteriors.
     """
     cols, ids, q = rows.cols, rows.ids, rows.cols.q
     sums = cols.sums.take(ids, axis=0).T.copy()
@@ -213,7 +212,6 @@ def _posterior_core(rows: _ArRows):
             y[:i] -= low[i, :i] * y[i]
     loc = y.T.copy()
     cols.loc[ids], cols.resid[ids] = loc, d
-    loc.flags.writeable = False
     return n, diag, loc, d
 
 
@@ -280,9 +278,11 @@ def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
     """Exact coefficient/variance posterior for one node, solved from its sums.
 
     The single-state reference for the posterior a trie keeps per node:
-    the same kernel on the state alone, so the two agree bit for bit.
+    the same kernel on the state alone, so the two agree bit for bit.  The
+    mean is read only, as the frozen ArPosterior's other fields are.
     """
     _, _, loc, d = _posterior_core(_as_rows([stats]))
+    loc.flags.writeable = False
     return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * d.item(0))
 
 

@@ -92,8 +92,16 @@ _ONE_OF = {**dict.fromkeys(("fit", "forecast", "sample-trees"), ("--thresholds",
            "simulate": ("--name", "--spec")}
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _check_flags(args) -> None:
-    """Reject options given where the run's modes read none, then a missing or doubled choice of _ONE_OF."""
+    """Reject options given where the run's modes read none, then a missing or doubled choice of _ONE_OF,
+    then two outputs that name one file."""
     given = [flag for flag, (commands, _, settings) in _FLAGS.items() if args.command in commands
              and getattr(args, flag.lstrip("-").replace("-", "_")) != settings.get("default")]
     modes = {*given, f"--model {getattr(args, 'model', None)}", args.command}
@@ -104,6 +112,9 @@ def _check_flags(args) -> None:
     pair = _ONE_OF.get(args.command)
     if pair and "--from-model" not in modes and sum(flag in given for flag in pair) != 1:
         raise ValueError(f"give exactly one of {pair[0]} or {pair[1]}")
+    outputs = [path for path in (getattr(args, "output", None), getattr(args, "records", None)) if path]
+    if len(outputs) == 2 and _same_file(*outputs):
+        raise ValueError(f"two outputs name one file: {outputs[0]} and {outputs[1]}")
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -136,23 +147,11 @@ def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
     return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
 
 
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return os.path.realpath(a) == os.path.realpath(b)
-
-
 def _emit(*outputs: tuple[str, Optional[str]]) -> None:
-    """Write each text to its path, or to stdout where the path is None.  Two paths that name one file fail
-    the command before any is opened.  Every path is opened for appending (which changes no byte) before any
-    text is written, so one that cannot be opened fails the command and leaves no output behind; a failure
-    removes the files this call created."""
+    """Write each text to its path, or to stdout where the path is None.  Every path is opened for appending
+    (which changes no byte) before any text is written, so one that cannot be opened fails the command and
+    leaves no output behind; a failure removes the files this call created."""
     paths = [path for _, path in outputs if path]
-    for k, path in enumerate(paths):
-        for other in paths[:k]:
-            if _same_file(other, path):
-                raise ValueError(f"two outputs name one file: {other} and {path}")
     made = [path for path in paths if not os.path.lexists(path)]
     try:
         for path in paths:

@@ -41,7 +41,7 @@ def ingest_csv(path: str, column: Union[int, str, None] = None) -> np.ndarray:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is the data after any byte-order mark
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+        line = len(exc.object[:exc.start + 1].splitlines())  # the csv reader's lines: \n, \r or \r\n ends one
         raise ValueError(f"{path}: line {line}: not UTF-8 text (byte {exc.object[exc.start]:#04x})") from None
     reader = csv.reader(StringIO(text, newline=""))
     rows = [(reader.line_num, row) for row in reader if any(map(str.strip, row))]  # each row's file line

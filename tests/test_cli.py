@@ -808,6 +808,9 @@ def test_two_outputs_naming_one_file_write_nothing(tmp_path, capsys, monkeypatch
     assert sorted(os.listdir(tmp_path)) == before
     if earlier:
         assert (tmp_path / "r.json").read_text() == "an earlier report\n"
+    # the flags are checked before the input is read
+    assert run(["forecast", "missing.csv", *FIXED, "-o", "r.json", "--records", records]) == 1
+    assert capsys.readouterr().err == f"error: two outputs name one file: r.json and {records}\n"
 
 
 def test_the_readme_flag_table_is_the_clis():

@@ -51,7 +51,9 @@ class TestIngest:
         with pytest.raises(ValueError, match="line 2"):
             sio.ingest_csv(str(p))
         for name, data in (("latin.csv", b"value\n1.0\n2.0\ncaf\xe9\n"),  # a Latin-1 byte
-                           ("latin-bom.csv", codecs.BOM_UTF8 + b"value\n1.0\n2.0\ncaf\xe9\n")):
+                           ("latin-bom.csv", codecs.BOM_UTF8 + b"value\n1.0\n2.0\ncaf\xe9\n"),
+                           ("latin-cr.csv", b"value\r1.0\r2.0\rcaf\xe9\r"),
+                           ("latin-crlf.csv", b"value\r\n1.0\r\n2.0\r\ncaf\xe9\r\n")):
             p = tmp_path / name
             p.write_bytes(data)
             with pytest.raises(ValueError) as exc:
