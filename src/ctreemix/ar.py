@@ -357,32 +357,27 @@ class ArModel:
         return log_pe_ar(states, self.hp)
 
     def predict(self, cols: _ArColumns, i: int, lags: Sequence[float]) -> tuple[float, float]:
-        """Plug-in one-step predictive (mean, variance) at node i's MAP parameters, read in place.
-
-        The mean is np.dot of the kept ``loc`` row and the design, the
-        variance the mode of IG(tau + n/2, lam + resid/2), the values
-        ``posterior_ar`` gives on a copy of the node's state, bit for bit.
-        A row whose sums changed since its last scoring is solved in place
-        first.  At i = -1, a context never observed, the posterior is the
-        prior: loc 0, resid 0.0 and count 0.
-        """
-        hp = self.hp
-        if i < 0:
-            return float(np.dot(np.zeros(hp.dim), hp.design(lags))), hp.lam / (hp.tau + 1.0)
-        resid = cols.resid.item(i)
-        if resid != resid:
-            resid = _posterior_core(cols.take([i]))[3].item(0)
-        return (float(np.dot(cols.loc[i], hp.design(lags))),
-                (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * cols.sums.item(i, 0) + 1.0))
+        """Plug-in one-step predictive (mean, variance) at node i's MAP parameters, as ``_read`` reads them."""
+        loc, sigma2, _ = self._read(cols, i)
+        return float(np.dot(loc, self.hp.design(lags))), sigma2
 
     def leaf_param_doc(self, cols: _ArColumns, i: int) -> dict:
         """Node i's MAP coefficients, noise variance and count, read as ``predict`` reads them."""
+        loc, sigma2, count = self._read(cols, i)
+        return {"phi": loc.tolist(), "sigma2": sigma2, "count": count}
+
+    def _read(self, cols: _ArColumns, i: int) -> tuple[np.ndarray, float, int]:
+        """Node i's kept posterior location, MAP noise variance and count, read in place.
+
+        The variance is the mode of IG(tau + n/2, lam + resid/2); with the
+        location, the values ``posterior_ar`` gives on a copy of the node's
+        state, bit for bit.  A row whose sums changed since its last
+        scoring is solved in place first.  At i = -1, a context never
+        observed, the posterior is the prior: loc 0, resid 0.0 and count 0.
+        """
         hp = self.hp
-        if i < 0:
-            return {"phi": [0.0] * hp.dim, "sigma2": hp.lam / (hp.tau + 1.0), "count": 0}
-        resid = cols.resid.item(i)
-        if resid != resid:
+        loc, resid, count = ((np.zeros(hp.dim), 0.0, 0) if i < 0 else
+                             (cols.loc[i], cols.resid.item(i), int(cols.sums.item(i, 0))))
+        if resid != resid:  # stale: the solve writes the row's loc in place
             resid = _posterior_core(cols.take([i]))[3].item(0)
-        count = int(cols.sums.item(i, 0))
-        return {"phi": cols.loc[i].tolist(), "sigma2": (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * count + 1.0),
-                "count": count}
+        return loc, (hp.lam + 0.5 * resid) / (hp.tau + 0.5 * count + 1.0), count

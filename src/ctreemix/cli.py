@@ -168,12 +168,12 @@ def _emit(*outputs: tuple[str, Optional[str]]) -> None:
         raise
 
 
-def _read_json(path: str):
-    """The JSON document in the UTF-8 file at path; an error reading it names the file."""
+def _read_json(path: str, parse):
+    """The JSON document in the UTF-8 file at path, read by parse; an error reading or parsing it names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except ValueError as exc:  # a JSON syntax error, or a byte that is not UTF-8
+            return parse(json.load(fh))
+        except ValueError as exc:  # a JSON syntax error, a byte that is not UTF-8, or a malformed field
             raise ValueError(f"{path}: {exc}") from None
 
 
@@ -212,7 +212,7 @@ def cmd_forecast(args) -> int:
     series, tspec = _load_series(args)
     train_len = _train_len(args, len(series))
     if args.from_model:
-        cfg = RunConfig.from_document(_read_json(args.from_model))
+        cfg = _read_json(args.from_model, RunConfig.from_document)
         check_training_length(train_len, cfg.depth, (cfg.order,))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
@@ -230,7 +230,7 @@ def cmd_simulate(args) -> int:
         named = registry[args.name]
         spec, default_n = named.spec, named.default_n
     else:
-        spec = parse_generative_spec(_read_json(args.spec))
+        spec = _read_json(args.spec, parse_generative_spec)
         default_n = 500
     n = args.n if args.n is not None else default_n
     _emit((sio.series_csv(generate(spec, n, args.seed)), args.output))

@@ -79,18 +79,13 @@ class FittedModel:
 
     def predict_next(self) -> tuple[float, float]:
         """One-step predictive mean and variance from the MAP tree and parameters."""
-        node = self.trie.map_node(self.current_context())
-        return self.model.predict(self.trie.states, -1 if node is None else node.id, self.current_lags())
+        return self.model.predict(self.trie.states, self.trie.map_node(self.current_context()), self.current_lags())
 
     def leaf_parameters(self, tree: Optional[TreeModel] = None) -> dict[tuple[int, ...], dict]:
         """MAP parameter document for every leaf of the given (default MAP) tree."""
         if tree is None:
             tree = self.map_tree()
-        docs = {}
-        for leaf in tree.leaves:
-            node = self.trie.walk(leaf)
-            docs[leaf] = self.model.leaf_param_doc(self.trie.states, -1 if node is None else node.id)
-        return docs
+        return {leaf: self.model.leaf_param_doc(self.trie.states, self.trie._find(leaf)) for leaf in tree.leaves}
 
 
 def fit_series(

@@ -168,15 +168,16 @@ def rolling_forecast(
         fitted.update(x)
     mse = float(np.mean([r.squared_error for r in records]))
     cll = -float(np.sum([r.log_density for r in records]))
+    tree = fitted.map_tree()
     return EvalReport(
         mse=mse,
         cumulative_log_loss=cll,
         records=records,
         thresholds=config.thresholds,
         order=config.order,
-        map_tree=fitted.map_tree(),
-        map_posterior=fitted.map_posterior(),
+        map_tree=tree,
+        map_posterior=fitted.posterior_of(tree),
         log_evidence=fitted.log_evidence(),
         train_len=split,
-        leaf_params={context_label(k): v for k, v in fitted.leaf_parameters().items()},
+        leaf_params={context_label(k): v for k, v in fitted.leaf_parameters(tree).items()},
     )

@@ -142,7 +142,7 @@ def model_document(
         **config.to_document(),
         "n_scored": fitted.num_scored,
         "log_evidence": float(fitted.log_evidence()),
-        "map_posterior": float(fitted.map_posterior()),
+        "map_posterior": float(fitted.posterior_of(tree)),
         "tree": tree_to_doc(tree, fitted.leaf_parameters(tree)),
         "transform": _transform_doc(transform),
         "seed": seed,

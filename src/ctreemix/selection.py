@@ -148,10 +148,8 @@ def select_hyperparams(
                 cells[thr, order] = EvidenceCell(thr, order, float("-inf"), error=str(exc))
         del ingested  # before the next threshold set's ingest
     table = tuple(cells[thr, order] for order in orders for thr in thresholds)
-    best: Optional[EvidenceCell] = None
-    for cell in table:
-        if cell.error is None and (best is None or cell.log_evidence > best.log_evidence):
-            best = cell
+    # max keeps the first of equal cells, and the table's order is the tie rule
+    best = max((cell for cell in table if cell.error is None), key=lambda cell: cell.log_evidence, default=None)
     if best is None:
         raise RuntimeError(f"every grid candidate failed; the first: {table[0].error}")
     return SelectionResult(best.thresholds, best.order, best.log_evidence, table)

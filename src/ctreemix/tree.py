@@ -41,9 +41,9 @@ ids.  A leaf model is any object providing::
                    -> for ``FittedModel``, the parameter document of node i
                       of a store
 
-Both read the node in place, keyed by its id, and take i = -1, the trie's
-id of a context never observed: AR leaves then read their prior mode, ARCH
-leaves the pooled fit of the root, ``states[0]``.
+Both read the node in place, keyed by its id as ``map_node`` returns it,
+and take i = -1, the trie's id of a context never observed: AR leaves then
+read their prior mode, ARCH leaves the pooled fit of the root, ``states[0]``.
 
 Three quantities are maintained per node, all in natural-log domain:
 
@@ -498,12 +498,13 @@ class ContextTrie:
         self._require_swept()
         return self._grow(self._leaf_wins, 1, 1, lambda n: [0.0] * n)[0]  # 0.0 < True, the leaf wins, and < 1
 
-    def map_node(self, context: Sequence[int]) -> Optional[_NodeView]:
-        """The node of the MAP-tree leaf that prefixes a length-D context, in O(D).
+    def map_node(self, context: Sequence[int]) -> int:
+        """The id of the MAP-tree leaf's node that prefixes a length-D context, in O(D).
 
         Walks from the root along the context and stops where ``map_tree``
         would make a leaf: at a node whose leaf wins, at depth D, or at a
-        context never observed, for which it returns None.
+        context never observed, for which it returns -1.  The id is the one
+        the leaf protocol's ``predict`` and ``leaf_param_doc`` take.
         """
         self._require_swept()
         if len(context) != self.depth:
@@ -514,8 +515,8 @@ class ContextTrie:
                 break
             node = kids[node][sym]
             if node < 0:
-                return None
-        return _NodeView(self, node)
+                break
+        return node
 
     def _find(self, context: Sequence[int]) -> int:
         """The id of an exact context's node, or -1 if never observed."""

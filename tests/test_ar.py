@@ -226,7 +226,7 @@ class TestBatchKernel:
         monkeypatch.setattr(ar, "_posterior_core", lambda states: calls.append(len(states)) or solve(states))
         prediction_solves = unseen_contexts = 0
         for x in series[1000:]:
-            unseen_contexts += fitted.trie.map_node(fitted.current_context()) is None
+            unseen_contexts += fitted.trie.map_node(fitted.current_context()) < 0
             before = len(calls)
             fitted.predict_next()
             prediction_solves += len(calls) - before

@@ -170,8 +170,8 @@ def test_forecast_from_model_rejects_model_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[1, 2]", "not a JSON object"),
-    ('{"model": "ar"}', "'quantizer.thresholds' is missing"),
+    ("[1, 2]", "m.json: model document is not a JSON object"),
+    ('{"model": "ar"}', "m.json: model document field 'quantizer.thresholds' is missing"),
     ('{"model": "ar" "order": 2}', "m.json: Expecting ',' delimiter: line 1 column 16 (char 15)"),
 ], ids=["list", "no-quantizer", "not-json"])
 def test_forecast_rejects_malformed_model_document(tmp_path, capsys, text, message):
@@ -429,15 +429,15 @@ AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
     ({"kind": "AR", "thresholds": [0.0], "leaves": [AR_LEAF]}, "spec field 'kind' is malformed: 'AR'"),
     ({**ARCH_SPEC_DOC, "leaves": [ARCH_SPEC_DOC["leaves"][0], {"context": [1]}]},
      "spec leaf 1 field 'alpha' is missing or malformed"),
-    (b'{"kind": "ar", bad}', "{path}: Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
-    (b'{"kind": "\xe9"}', "{path}: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte"),
+    (b'{"kind": "ar", bad}', "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
+    (b'{"kind": "\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte"),
 ], ids=["list", "thresholds-number", "no-sigma2", "phi-string", "context-number", "repeated-context",
         "negative-burn-in", "kind-unknown", "arch-no-alpha", "not-json", "not-utf-8"])
 def test_malformed_spec_file_fails_with_one_error_line(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert run(["simulate", "--spec", str(spec_path), "--n", "10", "-o", str(tmp_path / "sim.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {message.format(path=spec_path)}\n"
+    assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
 
 
 class TestSplit:

@@ -95,12 +95,12 @@ def test_predict_next_equals_the_copy_path(case):
     for x in series[train:]:
         context, lags = fitted.current_context(), fitted.current_lags()
         node = fitted.trie.map_node(context)
-        if node is None:
+        if node < 0:
             post = posterior_ar(ArSufficientStats(model.hp.dim), model.hp)
             seen.add("unseen")
         else:
-            post = posterior_ar(node.state, model.hp)
-            seen.add("copied" if node.id in copied else "scored")
+            post = posterior_ar(fitted.trie.states[node], model.hp)
+            seen.add("copied" if node in copied else "scored")
         expected = [float(np.dot(post.mean, model.hp.design(lags))).hex(), post.map_sigma2.hex()]
         assert [v.hex() for v in fitted.predict_next()] == expected
         fitted.update(float(x))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctreemix import Quantizer, builtin_specs, fit_series, forecasting, generate
+from ctreemix import io as sio
 from ctreemix.forecasting import (
     RunConfig,
     gaussian_log_density,
@@ -119,3 +120,23 @@ class TestRollingArch:
         mean, var = fitted.predict_next()
         assert rep.records[0].mean == mean
         assert rep.records[0].variance == var
+
+
+@pytest.mark.parametrize("name, config", [
+    ("sim_2", RunConfig(kind="ar", thresholds=(-0.5, 0.5), order=2, depth=4)),
+    ("arch_sim", RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3)),
+], ids=["ar", "arch"])
+def test_reports_and_documents_read_one_map_tree(monkeypatch, name, config):
+    # the report and the fit document build the MAP tree once and read its posterior, tree and leaves off it
+    series = generate(builtin_specs()[name].spec, 300, seed=6)
+    fitted = fit_series(series, config.make_model(), config.quantizer(), config.depth, config.beta)
+    doc = sio.model_document(fitted, config)
+    assert doc["map_posterior"].hex() == fitted.map_posterior().hex()
+    assert doc["tree"] == sio.tree_to_doc(fitted.map_tree(), fitted.leaf_parameters())
+    fits = []
+    monkeypatch.setattr(forecasting, "fit_series", lambda *args: fits.append(fit_series(*args)) or fits[-1])
+    rep = rolling_forecast(series, config, train_len=250)
+    (walked,) = fits
+    assert rep.map_posterior.hex() == walked.map_posterior().hex()
+    assert rep.map_tree == walked.map_tree()
+    assert rep.leaf_params == {context_label(k): v for k, v in walked.leaf_parameters().items()}

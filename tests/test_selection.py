@@ -46,6 +46,17 @@ def test_ties_prefer_smaller_order():
         assert res.order == 1
 
 
+@pytest.mark.parametrize("thresholds", [((0.5,), (0.6,)), ((0.6,), (0.5,))], ids=["listed-first", "listed-last"])
+def test_exact_tie_prefers_smaller_thresholds(thresholds):
+    # no sample lies in [0.5, 0.6), so both thresholds code the series alike and every cell ties exactly
+    series = generate(builtin_specs()["sim_1"].spec, 400, seed=3)
+    series = series[(series < 0.5) | (series >= 0.6)]
+    res = select_hyperparams(series, SelectionGrid(orders=(1, 2), thresholds=thresholds), ar_factory(), depth=6)
+    cells = {(c.thresholds, c.order): c.log_evidence.hex() for c in res.table}
+    assert all(cells[(0.5,), order] == cells[(0.6,), order] for order in (1, 2))
+    assert res.thresholds == (0.5,)
+
+
 def test_percentile_grid_properties():
     rng = np.random.default_rng(2)
     data = rng.normal(size=400)

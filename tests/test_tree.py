@@ -142,11 +142,8 @@ class TestMapTree:
         f = fit_series(series, small_ar_model(2), Quantizer((-0.5, 0.5)), depth)
         tree = f.map_tree()
 
-        def node_id(node):  # handles are made per call: compare what they point at
-            return None if node is None else node.id
-
         for context in itertools.product(range(3), repeat=depth):
-            assert node_id(f.trie.map_node(context)) == node_id(f.trie.walk(tree.state_of(context)))
+            assert f.trie.map_node(context) == f.trie._find(tree.state_of(context))
         with pytest.raises(ValueError):
             f.trie.map_node((0,) * (depth + 1))
 
