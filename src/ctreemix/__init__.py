@@ -13,7 +13,6 @@ from .ar import (
     ArHyperParams,
     ArModel,
     ArPosterior,
-    ArSufficientStats,
     log_pe_ar,
     posterior_ar,
 )
@@ -29,7 +28,7 @@ from .tree import ContextTrie, TreeModel
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArHyperParams", "ArModel", "ArPosterior", "ArSufficientStats",
+    "ArHyperParams", "ArModel", "ArPosterior",
     "log_pe_ar", "posterior_ar",
     "ArchConfig", "ArchModel", "ArchNodeState",
     "FittedModel", "fit_series",

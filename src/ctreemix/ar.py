@@ -60,35 +60,18 @@ class ArHyperParams:
         return (1.0,) + lagp if self.intercept else lagp
 
 
-class ArSufficientStats:
-    """One node's count, s1 (a float), s2 (an array (q,)) and s3 (an array (q, q)).
-
-    A trie keeps its nodes' sums in ``_ArColumns`` instead; its
-    ``nodes()`` hand out copies of a row as ``ArSufficientStats``.
-    """
-
-    __slots__ = ("count", "s1", "s2", "s3")
-
-    def __init__(self, dim: int):
-        self.count = 0
-        self.s1 = 0.0
-        self.s2 = np.zeros(dim)
-        self.s3 = np.zeros((dim, dim))
-
-    @property
-    def dim(self) -> int:
-        return len(self.s2)
-
-
 class _ArColumns:
-    """The sums of a trie's AR nodes, one row per node id, in arrays that double when full.
+    """The sums of AR nodes, one row per node id, in arrays that double when full.
 
-    Row k of ``sums`` holds node k's count (a float64, exact below 2^53),
-    s1, s2 (q values) and s3 (q * q values, row by row), so that a sample
-    adds one row to each node of its path.  ``loc`` (N, q) and ``resid``
-    (N,) hold the posterior each node's last scoring solved, resid NaN
-    while the sums changed since.  With ``intercept``, design column 0 is
-    the constant and the lags follow.
+    This is the only form of an AR node's statistics.  Row k of ``sums``
+    holds node k's count (a float64, exact below 2^53), s1, s2 (q values)
+    and s3 (q * q values, row by row), so that a sample adds one row to
+    each node of its path.  ``loc`` (N, q) and ``resid`` (N,) hold the
+    posterior each node's last scoring solved, resid NaN while the sums
+    changed since.  With ``intercept``, design column 0 is the constant
+    and the lags follow.  ``take(ids)`` is the batch that ``observe``,
+    ``log_pe_ar`` and ``posterior_ar`` read and write; ``store[i]`` is
+    node i alone, over a copy of its row.
     """
 
     __slots__ = ("n", "q", "intercept", "sums", "loc", "resid")
@@ -103,12 +86,11 @@ class _ArColumns:
         """Views of the count, s1, s2 and s3 in rows of sums: (K,), (K,), (K, q) and (K, q, q)."""
         return sums[:, 0], sums[:, 1], sums[:, 2:2 + q], sums[:, 2 + q:].reshape(-1, q, q)
 
-    def __getitem__(self, i: int) -> ArSufficientStats:
-        """A copy of node i's sums."""
-        row, q = self.sums[i].copy(), self.q
-        st = ArSufficientStats.__new__(ArSufficientStats)
-        st.count, st.s1, st.s2, st.s3 = int(row[0]), float(row[1]), row[2:2 + q], row[2 + q:].reshape(q, q)
-        return st
+    def __getitem__(self, i: int) -> "_ArRows":
+        """Node i alone, as a batch over a copy of its sums; IndexError outside 0..n-1."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"node id {i} out of range 0..{self.n - 1}")
+        return _ArColumns(self.sums[[i]], self.q, self.intercept).take([0])
 
     def take(self, ids) -> "_ArRows":
         return _ArRows(self, np.asarray(ids, dtype=np.intp))
@@ -153,17 +135,6 @@ class _ArRows:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-def _as_rows(states) -> _ArRows:
-    """A trie's rows as given, or a sequence of ArSufficientStats copied into columns of their own."""
-    if isinstance(states, _ArRows):
-        return states
-    k, q = len(states), len(states[0].s2)
-    sums = np.column_stack([[float(st.count) for st in states], [st.s1 for st in states],
-                            np.reshape([st.s2 for st in states], (k, q)),
-                            np.reshape([st.s3 for st in states], (k, q * q))])
-    return _ArColumns(sums, q).take(np.arange(k))
 
 
 def _posterior_core(rows: _ArRows):
@@ -231,22 +202,20 @@ def _lgamma_halves(tau: float, counts: np.ndarray) -> np.ndarray:
         return table[counts]
 
 
-def log_pe_ar(states, hp: ArHyperParams) -> list[float]:
+def log_pe_ar(states: _ArRows, hp: ArHyperParams) -> list[float]:
     """Log marginal likelihood of each state's data, parameters integrated out.
 
-    ``states`` is a sequence of ``ArSufficientStats`` or a batch of a
-    trie's nodes.  One call scores the whole batch with no loop per node:
+    ``states`` is a batch of a store's nodes, ``store.take(ids)`` or
+    ``store[i]``.  One call scores the whole batch with no loop per node:
     ``_posterior_core`` factors every s3 + I, log det(I + s3) is twice the
     sum of np.log of the factor's diagonal in column order, lgamma comes
     from a table of math.lgamma values, and the rest is one array
     expression.  Each value is bit-identical to scoring its state alone.
-    A trie's rows keep their posterior location and residual in its
-    columns; states of their own are only read.  Raises
-    np.linalg.LinAlgError if a matrix s3 + I is not numerically positive
-    definite.
+    The rows keep their posterior location and residual in the store's
+    columns.  Raises np.linalg.LinAlgError if a matrix s3 + I is not
+    numerically positive definite.
     """
-    rows = _as_rows(states)
-    n, diag, loc, d = _posterior_core(rows)
+    n, diag, loc, d = _posterior_core(states)
     logs = np.log(diag)
     half_logdet = logs[0]  # log det(I + s3) / 2
     for j in range(1, len(logs)):
@@ -274,16 +243,19 @@ class ArPosterior:
         return self.ig_scale / (self.ig_shape + 1.0)
 
 
-def posterior_ar(stats: ArSufficientStats, hp: ArHyperParams) -> ArPosterior:
-    """Exact coefficient/variance posterior for one node, solved from its sums.
+def posterior_ar(stats: _ArRows, hp: ArHyperParams) -> ArPosterior:
+    """Exact coefficient/variance posterior of a one-node batch, solved from its sums.
 
     The single-state reference for the posterior a trie keeps per node:
-    the same kernel on the state alone, so the two agree bit for bit.  The
-    mean is read only, as the frozen ArPosterior's other fields are.
+    the same kernel on ``store[i]``, node i's copied row, so the two agree
+    bit for bit.  The mean is read only, as the frozen ArPosterior's other
+    fields are.  ValueError for a batch of more than one node.
     """
-    _, _, loc, d = _posterior_core(_as_rows([stats]))
+    if len(stats) != 1:
+        raise ValueError(f"posterior_ar takes one node, not {len(stats)}")
+    n, _, loc, d = _posterior_core(stats)
     loc.flags.writeable = False
-    return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * stats.count, ig_scale=hp.lam + 0.5 * d.item(0))
+    return ArPosterior(mean=loc[0], ig_shape=hp.tau + 0.5 * n.item(0), ig_scale=hp.lam + 0.5 * d.item(0))
 
 
 class ArModel:
@@ -300,26 +272,17 @@ class ArModel:
         q = self.hp.dim
         return _ArColumns(np.zeros((k, 2 + q + q * q)), q, self.hp.intercept)
 
-    def observe(self, states, x: float, lags: Sequence[float]) -> None:
-        """Add one sample to each state (ArSufficientStats, or a batch of a trie's nodes), in place.
+    def observe(self, states: _ArRows, x: float, lags: Sequence[float]) -> None:
+        """Add one sample to each node of a batch, ``store.take(ids)``, in place.
 
-        The terms are the float64 products observe_batch sums, so adding
-        them continues its in-order sums bit for bit.  Marks a trie's rows
-        stale (resid NaN).
+        The row (1, x*x, x*d, d d') is built from Python floats, the
+        float64 products observe_batch sums, so adding it continues its
+        in-order sums bit for bit.  Marks the rows stale (resid NaN).
         """
         design = self.hp.design(lags)
-        if isinstance(states, _ArRows):  # the row (1, x*x, x*d, d d'), built from Python floats
-            row = [1.0, x * x, *[x * v for v in design], *[a * b for a in design for b in design]]
-            states.cols.sums[states.ids] += row
-            states.cols.resid[states.ids] = np.nan
-            return
-        design = np.array(design)
-        xx, xd, dd = x * x, x * design, np.multiply.outer(design, design)
-        for st in states:
-            st.count += 1
-            st.s1 += xx
-            st.s2 += xd
-            st.s3 += dd
+        row = [1.0, x * x, *[x * v for v in design], *[a * b for a in design for b in design]]
+        states.cols.sums[states.ids] += row
+        states.cols.resid[states.ids] = np.nan
 
     def observe_batch(self, labels: np.ndarray, x: np.ndarray, lags: np.ndarray) -> _ArColumns:
         """The columns of nodes 0..K-1, node k holding the sums of the samples i with k in labels[:, i].

@@ -93,8 +93,15 @@ class ArchNodeState:
 class _ArchStates(list):
     """The states of a trie's ARCH nodes, indexed by node id."""
 
+    def __getitem__(self, i: int) -> ArchNodeState:
+        """Node i's state; IndexError outside 0..n-1, so that the id -1 of a context never observed fails."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"node id {i} out of range 0..{len(self) - 1}")
+        return list.__getitem__(self, i)
+
     def take(self, ids) -> list[ArchNodeState]:
-        return [self[i] for i in ids]
+        get = list.__getitem__
+        return [get(self, i) for i in ids]
 
     def copy_fit(self, ids, sources) -> None:
         """Give each node of ids the fit of the node at the same place in sources (theta is shared, never

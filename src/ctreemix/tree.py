@@ -10,8 +10,12 @@ ids.  A leaf model is any object providing::
 
     order          -> int, number of raw lag values consumed per observation
     new_states(k)  -> a store of k nodes without data; a store supports
-                      store[i] (node i's state), store.take(ids) (a batch
-                      of nodes for observe and log_pe),
+                      store[i] (node i's state, which ``node.state``
+                      hands out; IndexError unless 0 <= i < n for the
+                      store's n nodes, so the id -1 of a context never
+                      observed has none),
+                      store.take(ids) (a batch of nodes for observe and
+                      log_pe, unchecked, as it runs on every step),
                       store.extend(other) (append other's nodes),
                       store.copy_fit(ids, sources) (give each node of ids
                       the kept fit of the node at the same place in

@@ -14,10 +14,11 @@ from math import erf, exp, log, log1p, sqrt
 import numpy as np
 
 from ctreemix import (
-    ArHyperParams, ArModel, ArLeaf, ArSufficientStats, ArchModel, ArchNodeState, FittedModel, GenerativeSpec,
+    ArHyperParams, ArModel, ArLeaf, ArchModel, ArchNodeState, FittedModel, GenerativeSpec,
     Quantizer, TreeModel, generate,
 )
 from ctreemix._num import LOG_2PI, log_add
+from ctreemix.ar import _ArColumns, _ArRows
 from ctreemix.arch import ALPHA0_FLOOR, _DAMP, _Stack, initial_theta
 from ctreemix.tree import log_prior
 
@@ -39,14 +40,14 @@ def enumerate_trees(m: int, depth: int) -> list[TreeModel]:
 
 
 def brute_force_leaf_stats(series, model, quantizer: Quantizer, depth: int, tree: TreeModel):
-    """Recompute per-leaf statistics by direct context matching."""
+    """Recompute per-leaf statistics by direct context matching, each leaf a one-node batch of a store of its own."""
     init_len = max(depth, model.order)
-    states = {leaf: model.new_states(1)[0] for leaf in tree.leaves}
+    states = {leaf: model.new_states(1).take([0]) for leaf in tree.leaves}
     for i in range(init_len, len(series)):
         context = tuple(quantizer(series[i - 1 - d]) for d in range(depth))
         leaf = tree.state_of(context)
         lags = tuple(series[i - 1 - d] for d in range(model.order))
-        model.observe([states[leaf]], float(series[i]), lags)
+        model.observe(states[leaf], float(series[i]), lags)
     return states
 
 
@@ -56,7 +57,7 @@ def brute_force_log_joint(series, model, quantizer: Quantizer, depth: int,
     states = brute_force_leaf_stats(series, model, quantizer, depth, tree)
     total = log_prior(tree, beta, depth)
     for leaf in tree.leaves:
-        total += model.log_pe([states[leaf]])[0]
+        total += model.log_pe(states[leaf])[0]
     return total
 
 
@@ -71,8 +72,14 @@ def brute_force_log_evidence(series, model, quantizer: Quantizer, depth: int,
     return float(peak + np.log(np.exp(values - peak).sum())), joints
 
 
+def ar_sums(rows: _ArRows) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The count, s1, s2 (q,) and s3 (q, q) of the first node of a batch of AR rows, read with ``_ArColumns.unpack``."""
+    count, s1, s2, s3 = _ArColumns.unpack(rows.cols.sums[rows.ids[:1]], rows.cols.q)
+    return int(count[0]), float(s1[0]), s2[0], s3[0]
+
+
 def log_pe_ar_known_variance(
-    stats: ArSufficientStats, sigma2: float, mu0: np.ndarray, sigma0: np.ndarray
+    stats: _ArRows, sigma2: float, mu0: np.ndarray, sigma0: np.ndarray
 ) -> float:
     """Log marginal likelihood when the noise variance is a known constant.
 
@@ -83,19 +90,17 @@ def log_pe_ar_known_variance(
     """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    n = stats.count
+    n, s1, s2, s3 = ar_sums(stats)
     if n == 0:
         return 0.0
     mu0 = np.asarray(mu0, dtype=float)
     sigma0 = np.asarray(sigma0, dtype=float)
-    q = stats.dim
-    s2 = np.array(stats.s2)
-    s3 = np.array(stats.s3)
+    q = len(s2)
     prec0 = np.linalg.inv(sigma0)
     a = s3 + sigma2 * prec0
     b = s2 + sigma2 * (prec0 @ mu0)
     sol = np.linalg.solve(a, b)
-    e = stats.s1 + sigma2 * float(mu0 @ prec0 @ mu0) - float(b @ sol)
+    e = s1 + sigma2 * float(mu0 @ prec0 @ mu0) - float(b @ sol)
     # det(I + sigma0 s3 / sigma2) = det(sigma0) det(s3 + sigma2 prec0) / sigma2^q
     logdet = (
         float(np.linalg.slogdet(sigma0)[1])
@@ -160,8 +165,9 @@ def trie_contents(trie) -> dict:
     out = {}
     for context, node in trie.nodes():
         st = node.state
-        if isinstance(st, ArSufficientStats):
-            out[context] = (st.count, st.s1, st.s2.tolist(), st.s3.tolist())
+        if isinstance(st, _ArRows):
+            count, s1, s2, s3 = ar_sums(st)
+            out[context] = (count, s1, s2.tolist(), s3.tolist())
         else:
             out[context] = (st.xs.tolist(), st.zs.tolist())
     return out
@@ -180,7 +186,8 @@ def scalar_sweep(trie) -> dict[tuple[int, ...], tuple[float, float, float, bool]
     log_beta, log_1mbeta = log(trie.beta), log1p(-trie.beta)
     out: dict[tuple[int, ...], tuple[float, float, float, bool]] = {}
     for context in sorted(nodes, key=len, reverse=True):  # children before parents
-        log_pe = trie.model.log_pe([nodes[context].state])[0]
+        state = nodes[context].state  # AR: node i alone over a copy of its row, so the trie keeps its fit
+        log_pe = trie.model.log_pe(state if isinstance(state, _ArRows) else [state])[0]
         if len(context) == trie.depth:
             out[context] = (log_pe, log_pe, log_pe, True)
             continue

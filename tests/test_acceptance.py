@@ -106,7 +106,7 @@ def test_c4_leaf_marginal_quadrature():
         k = int(rng.integers(1, 5))
         pairs = [(float(rng.normal()), float(rng.normal())) for _ in range(k)]
         st = stats_from_pairs(pairs)
-        got = cm.log_pe_ar([st], hp)[0]
+        got = cm.log_pe_ar(st, hp)[0]
         worst_2d = max(worst_2d, abs(got - quad_log_pe_2d(pairs)))
 
         def integrand(u):

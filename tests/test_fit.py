@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctreemix import (ArchConfig, ArchModel, ArSufficientStats, Quantizer, builtin_specs, fit_series, generate,
+from ctreemix import (ArchConfig, ArchModel, Quantizer, builtin_specs, fit_series, generate,
                       posterior_ar)
 
 from helpers import ScalarArchModel, per_sample_fit, small_ar_model, trie_contents
@@ -86,7 +86,7 @@ ONLINE_READS = [
 @pytest.mark.parametrize("case", ONLINE_READS, ids=[c[0] for c in ONLINE_READS])
 def test_predict_next_equals_the_copy_path(case):
     # predict_next reads the MAP node's kept posterior in place; at every step it must equal, bit for bit,
-    # posterior_ar on the node's state copied out of the store, and on an empty state at a context never observed
+    # posterior_ar on the node's row copied out of the store, and on an empty store's row at a context never observed
     _, spec, train, steps, thresholds, order, intercept, depth, must = case
     series = generate(spec, train + steps, seed=5)[:train + steps]
     fitted = fit_series(series[:train], small_ar_model(order, intercept), Quantizer(thresholds), depth)
@@ -96,7 +96,7 @@ def test_predict_next_equals_the_copy_path(case):
         context, lags = fitted.current_context(), fitted.current_lags()
         node = fitted.trie.map_node(context)
         if node < 0:
-            post = posterior_ar(ArSufficientStats(model.hp.dim), model.hp)
+            post = posterior_ar(model.new_states(1).take([0]), model.hp)
             seen.add("unseen")
         else:
             post = posterior_ar(fitted.trie.states[node], model.hp)

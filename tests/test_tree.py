@@ -4,6 +4,7 @@ import itertools
 import math
 import struct
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ctreemix.arch import FULL_REFRESH_EVERY
 from ctreemix.tree import ContextTrie, default_beta, log_prior
 
 from helpers import (
+    ar_sums,
     brute_force_leaf_stats,
     brute_force_log_evidence,
     brute_force_log_joint,
@@ -251,6 +253,22 @@ class TestSampler:
         assert f.trie.sample_trees(5, rng) == [TreeModel(2, ((),))] * 5
         assert rng.random() == ref.random()
 
+    def test_contexts_never_observed_are_leaves_with_probability_beta(self):
+        # every node of a draw above depth D whose context the trie never observed was a Bernoulli(beta)
+        # leaf choice; ternary with beta != 1/2, so that a rule of 1/2 there shows
+        beta = 0.75
+        series = generate(builtin_specs()["sim_2"].spec, 60, seed=1)[:60]
+        f = fit_series(series, small_ar_model(1), Quantizer((-0.5, 0.5)), 5, beta)
+        visits = leaves_drawn = 0
+        for tree, times in Counter(f.trie.sample_trees(20_000, np.random.default_rng(0))).items():
+            leaves = set(tree.leaves)
+            for context in leaves | {leaf[:k] for leaf in leaves for k in range(len(leaf))}:
+                if len(context) < f.depth and f.trie.walk(context) is None:
+                    visits += times
+                    leaves_drawn += times * (context in leaves)
+        se = math.sqrt(beta * (1.0 - beta) / visits)
+        assert visits > 1000 and abs(leaves_drawn / visits - beta) <= 4 * se
+
 
 class TestSequentialUpdates:
     def test_bit_identical_to_fresh_build(self):
@@ -264,10 +282,11 @@ class TestSequentialUpdates:
         assert set(nodes_inc) == set(nodes_fresh)
         for ctx, node in nodes_fresh.items():
             other = nodes_inc[ctx]
-            assert other.state.count == node.state.count
-            assert other.state.s1 == node.state.s1
-            assert np.array_equal(other.state.s2, node.state.s2)
-            assert np.array_equal(other.state.s3, node.state.s3)
+            (count_a, s1_a, s2_a, s3_a), (count_b, s1_b, s2_b, s3_b) = ar_sums(other.state), ar_sums(node.state)
+            assert count_a == count_b
+            assert s1_a == s1_b
+            assert np.array_equal(s2_a, s2_b)
+            assert np.array_equal(s3_a, s3_b)
             assert other.log_pe == node.log_pe
             assert other.log_pw == node.log_pw
             assert other.log_pm == node.log_pm
@@ -280,7 +299,7 @@ class TestSequentialUpdates:
         assert f.num_scored == 1
         nodes = dict(f.trie.nodes())
         assert len(nodes) == 3  # one path of depths 0..2
-        assert all(node.state.count == 1 for node in nodes.values())
+        assert all(ar_sums(node.state)[0] == 1 for node in nodes.values())
 
     def test_empty_scored_region(self):
         f = fit_series([0.1, -0.2], small_ar_model(1), Quantizer((0.0,)), 2, 0.5)
@@ -303,7 +322,7 @@ class TestSequentialUpdates:
             counts[ctx] = counts.get(ctx, 0) + 1
         for ctx, expected in counts.items():
             node = f.trie.walk(ctx)
-            assert node is not None and node.state.count == expected
+            assert node is not None and ar_sums(node.state)[0] == expected
 
 
 class TestSweepOracle:
@@ -553,3 +572,20 @@ BATCH_CONTEXTS = [np.array([0, 1]), np.array([1, 0])]
 def test_trie_guards(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("model", [small_ar_model(2), ArchModel(ArchConfig(order=2))], ids=["ar", "arch"])
+def test_store_rejects_an_id_outside_its_nodes(model):
+    # -1 is the id of a context never observed; an AR store's rows from n up are spare capacity left unset
+    series = generate(builtin_specs()["sim_1"].spec, 300, seed=1)[:300]
+    f = fit_series(series[:200], model, Quantizer((0.0,)), 6)
+    for x in series[200:]:
+        f.update(float(x))
+    states, n = f.trie.states, f.trie.num_nodes
+    if isinstance(model, ArModel):
+        assert len(states.sums) > n
+    for i in (-1, n, n + 1):
+        with pytest.raises(IndexError, match=rf"^node id {i} out of range 0\.\.{n - 1}$"):
+            states[i]
+    assert model.leaf_param_doc(states, 0)["count"] == f.num_scored
+    assert states[n - 1] is not None
