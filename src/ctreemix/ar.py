@@ -21,7 +21,7 @@ xt is prepended with a constant 1 and every dimension below is p + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log
+from math import inf, lgamma, log
 from typing import Sequence
 
 import numpy as np
@@ -46,8 +46,8 @@ class ArHyperParams:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("AR order must be >= 1")
-        if self.tau <= 0 or self.lam <= 0:
-            raise ValueError("tau and lam must be positive")
+        if not (0 < self.tau < inf and 0 < self.lam < inf):
+            raise ValueError("tau and lam must be positive and finite")
 
     @property
     def dim(self) -> int:

@@ -19,11 +19,10 @@ import numpy as np
 
 from . import io as sio
 from .fit import check_training_length, fit_series
-from .forecasting import _NUMBER, RunConfig, _doc_field, rolling_forecast
-from .quantizer import Quantizer
+from .forecasting import RunConfig, rolling_forecast
 from .selection import SelectionGrid, candidate_grid, select_hyperparams
-from .simulate import ArLeaf, ArchLeaf, GenerativeSpec, builtin_specs, generate
-from .tree import TreeModel, check_labelled_alphabet, context_label
+from .simulate import GenerativeSpec, builtin_specs, generate
+from .tree import check_labelled_alphabet, context_label
 
 
 def _column(text: str) -> object:
@@ -230,10 +229,16 @@ def cmd_simulate(args) -> int:
         named = registry[args.name]
         spec, default_n = named.spec, named.default_n
     else:
-        spec = _read_json(args.spec, parse_generative_spec)
+        spec = _read_json(args.spec, GenerativeSpec.from_document)
         default_n = 500
     n = args.n if args.n is not None else default_n
-    _emit((sio.series_csv(generate(spec, n, args.seed)), args.output))
+    if n < 0:
+        raise ValueError(f"--n must be >= 0, got {n}")
+    try:
+        series = generate(spec, n, args.seed)
+    except ValueError as exc:  # the draws left float64
+        raise ValueError(f"{args.spec or args.name}: {exc}") from None
+    _emit((sio.series_csv(series), args.output))
     return 0
 
 
@@ -275,39 +280,6 @@ def cmd_evidence_grid(args) -> int:
         f"log_evidence={result.log_evidence:.6g}\n"
     )
     return 0
-
-
-def parse_generative_spec(doc: dict) -> GenerativeSpec:
-    """Generative spec from a JSON document (see README for the schema); ValueError names a bad field."""
-    if not isinstance(doc, dict):
-        raise ValueError("spec document is not a JSON object")
-    kind = _doc_field(doc, "kind", (str,), name="spec")
-    if kind not in ("ar", "arch"):
-        raise ValueError(f"spec field 'kind' is malformed: {kind!r}")
-    thresholds = tuple(float(v) for v in _doc_field(doc, "thresholds", (list,), _NUMBER, "spec"))
-    leaves = {}
-    for k, entry in enumerate(_doc_field(doc, "leaves", (list,), name="spec")):
-        leaf = f"spec leaf {k}"
-        ctx = tuple(_doc_field(entry, "context", (list,), (int,), leaf))
-        if ctx in leaves:
-            raise ValueError(f"{leaf} field 'context' repeats an earlier leaf's")
-        if kind == "ar":
-            leaves[ctx] = ArLeaf(
-                phi=tuple(float(v) for v in _doc_field(entry, "phi", (list,), _NUMBER, leaf)),
-                sigma2=float(_doc_field(entry, "sigma2", _NUMBER, name=leaf)),
-                intercept=float(_doc_field(entry, "intercept", _NUMBER + (type(None),), name=leaf) or 0.0),
-            )
-        else:
-            leaves[ctx] = ArchLeaf(alpha=tuple(float(v) for v in _doc_field(entry, "alpha", (list,), _NUMBER, leaf)))
-    burn_in = _doc_field(doc, "burn_in", (int, type(None)), name="spec")
-    return GenerativeSpec(
-        kind=kind,
-        tree=TreeModel(len(thresholds) + 1, tuple(leaves)),
-        quantizer=Quantizer(thresholds),
-        leaf_params=leaves,
-        burn_in=200 if burn_in is None else burn_in,
-        init_scale=_doc_field(doc, "init_scale", _NUMBER + (type(None),), name="spec"),
-    )
 
 
 @functools.cache

@@ -19,30 +19,9 @@ from ._num import LOG_2PI
 from .ar import ArHyperParams, ArModel
 from .arch import ArchConfig, ArchModel
 from .fit import fit_series
+from .io import _NUMBER, _doc_field
 from .quantizer import Quantizer
 from .tree import TreeModel, check_labelled_alphabet, context_label, default_beta
-
-
-_NUMBER = (int, float)
-
-
-def _typed(value, types: tuple) -> bool:
-    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
-
-
-def _doc_field(doc: dict, path: str, types: tuple = (int,), items: Optional[tuple] = None,
-               name: str = "model document"):
-    """The value at a dotted path of a JSON document, if it has one of the types given.
-
-    A missing field reads as None; a list must also hold only values of
-    the ``items`` types, if given.  ValueError names the field.
-    """
-    value = doc
-    for key in path.split("."):
-        value = value.get(key) if isinstance(value, dict) else None
-    if not _typed(value, types) or (items is not None and not all(_typed(v, items) for v in value)):
-        raise ValueError(f"{name} field {path!r} is missing or malformed")
-    return value
 
 
 @dataclass(frozen=True)

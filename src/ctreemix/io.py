@@ -7,11 +7,11 @@ import json
 import math
 from dataclasses import dataclass
 from io import StringIO
+from sys import float_info
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .forecasting import EvalReport, RunConfig
 from .tree import TreeModel, context_label
 
 TRANSFORMS = ("none", "diff", "logdiff", "logret10")
@@ -108,6 +108,31 @@ def apply_transform(series: Sequence[float], kind: str) -> tuple[np.ndarray, Tra
 # -- JSON documents ----------------------------------------------------------
 
 
+_NUMBER = (int, float)
+
+
+def _typed(value, types: tuple) -> bool:
+    """Whether value has one of the types, a bool only if bool is one, and a finite float64 value if a number."""
+    return (isinstance(value, types) and (bool in types or not isinstance(value, bool))
+            and (not isinstance(value, _NUMBER) or -float_info.max <= value <= float_info.max))
+
+
+def _doc_field(doc: dict, path: str, types: tuple = (int,), items: Optional[tuple] = None,
+               name: str = "model document"):
+    """The value at a dotted path of a JSON document, if it has one of the types given.
+
+    A missing field reads as None; a list must also hold only values of
+    the ``items`` types, if given.  A number must be finite: Python's json
+    reads NaN and Infinity.  ValueError names the field.
+    """
+    value = doc
+    for key in path.split("."):
+        value = value.get(key) if isinstance(value, dict) else None
+    if not _typed(value, types) or (items is not None and not all(_typed(v, items) for v in value)):
+        raise ValueError(f"{name} field {path!r} is missing or malformed")
+    return value
+
+
 def tree_to_doc(tree: TreeModel, leaf_params: dict[tuple[int, ...], dict]) -> dict:
     """Nested tree document: internal nodes carry children, leaves their parameters."""
     leafset = set(tree.leaves)
@@ -129,13 +154,13 @@ def _transform_doc(transform: Optional[TransformSpec]) -> Optional[dict]:
 
 def model_document(
     fitted,
-    config: RunConfig,
+    config,
     *,
     transform: Optional[TransformSpec] = None,
     seed: Optional[int] = None,
     selection_table: Optional[list] = None,
 ) -> dict:
-    """Serialisable description of a model fitted from `config` (MAP tree plus leaf parameters)."""
+    """Serialisable description of a model fitted from `config`, a RunConfig (MAP tree plus leaf parameters)."""
     tree = fitted.map_tree()
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -161,8 +186,9 @@ def dumps_canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def report_to_doc(report: EvalReport, *, seed: Optional[int] = None,
+def report_to_doc(report, *, seed: Optional[int] = None,
                   transform: Optional[TransformSpec] = None) -> dict:
+    """The JSON document of `report`, an EvalReport."""
     return {
         "schema_version": SCHEMA_VERSION,
         "mse": float(report.mse),

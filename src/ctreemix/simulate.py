@@ -10,11 +10,12 @@ the next value from that leaf's conditional.  Output is deterministic in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, isfinite, sqrt
 from typing import Mapping, Optional, Union
 
 import numpy as np
 
+from .io import _NUMBER, _doc_field
 from .quantizer import Quantizer
 from .tree import TreeModel
 
@@ -28,6 +29,8 @@ class ArLeaf:
     intercept: float = 0.0
 
     def __post_init__(self):
+        if not all(map(isfinite, (*self.phi, self.sigma2, self.intercept))):
+            raise ValueError("phi, sigma2 and intercept must be finite")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
 
@@ -39,6 +42,8 @@ class ArchLeaf:
     alpha: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(map(isfinite, self.alpha)):
+            raise ValueError("alpha must be finite")
         if not self.alpha or self.alpha[0] <= 0:
             raise ValueError("alpha_0 must be given and positive")
         if any(a < 0 for a in self.alpha[1:]):
@@ -50,7 +55,8 @@ Leaf = Union[ArLeaf, ArchLeaf]
 
 @dataclass(frozen=True)
 class GenerativeSpec:
-    kind: str  # "ar" | "arch"
+    """A context tree and each leaf's parameters, all ArLeaf or all ArchLeaf: their class is the family."""
+
     tree: TreeModel
     quantizer: Quantizer
     leaf_params: Mapping[tuple[int, ...], Leaf]
@@ -58,24 +64,54 @@ class GenerativeSpec:
     init_scale: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("ar", "arch"):
-            raise ValueError("kind must be 'ar' or 'arch'")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.init_scale is not None and not 0 <= self.init_scale < inf:
+            raise ValueError("init_scale must be finite and >= 0")
         if set(self.leaf_params) != set(self.tree.leaves):
             raise ValueError("leaf_params must cover exactly the tree leaves")
         if self.quantizer.alphabet_size != self.tree.m:
             raise ValueError("quantizer and tree alphabet sizes differ")
-        for leaf, params in self.leaf_params.items():
-            want = ArLeaf if self.kind == "ar" else ArchLeaf
-            if not isinstance(params, want):
-                raise TypeError(f"leaf {leaf}: expected {want.__name__}")
+        if not any(all(isinstance(p, family) for p in self.leaf_params.values()) for family in (ArLeaf, ArchLeaf)):
+            raise TypeError("leaf_params must be all ArLeaf or all ArchLeaf")
+
+    @classmethod
+    def from_document(cls, doc: dict) -> "GenerativeSpec":
+        """The spec of a JSON document (see README), whose kind picks the leaf class; ValueError names a bad field."""
+        if not isinstance(doc, dict):
+            raise ValueError("spec document is not a JSON object")
+        kind = _doc_field(doc, "kind", (str,), name="spec")
+        family = {"ar": ArLeaf, "arch": ArchLeaf}.get(kind)
+        if family is None:
+            raise ValueError(f"spec field 'kind' is malformed: {kind!r}")
+        thresholds = tuple(float(v) for v in _doc_field(doc, "thresholds", (list,), _NUMBER, "spec"))
+        leaves = {}
+        for k, entry in enumerate(_doc_field(doc, "leaves", (list,), name="spec")):
+            leaf = f"spec leaf {k}"
+            ctx = tuple(_doc_field(entry, "context", (list,), (int,), leaf))
+            if ctx in leaves:
+                raise ValueError(f"{leaf} field 'context' repeats an earlier leaf's")
+            if family is ArLeaf:
+                leaves[ctx] = ArLeaf(
+                    phi=tuple(float(v) for v in _doc_field(entry, "phi", (list,), _NUMBER, leaf)),
+                    sigma2=float(_doc_field(entry, "sigma2", _NUMBER, name=leaf)),
+                    intercept=float(_doc_field(entry, "intercept", _NUMBER + (type(None),), name=leaf) or 0.0),
+                )
+            else:
+                alpha = _doc_field(entry, "alpha", (list,), _NUMBER, leaf)
+                leaves[ctx] = ArchLeaf(alpha=tuple(float(v) for v in alpha))
+        burn_in = _doc_field(doc, "burn_in", (int, type(None)), name="spec")
+        return cls(
+            tree=TreeModel(len(thresholds) + 1, tuple(leaves)),
+            quantizer=Quantizer(thresholds),
+            leaf_params=leaves,
+            burn_in=200 if burn_in is None else burn_in,
+            init_scale=_doc_field(doc, "init_scale", _NUMBER + (type(None),), name="spec"),
+        )
 
     @property
     def order(self) -> int:
-        if self.kind == "ar":
-            return max(len(p.phi) for p in self.leaf_params.values())
-        return max(len(p.alpha) - 1 for p in self.leaf_params.values())
+        return max(len(p.phi) if isinstance(p, ArLeaf) else len(p.alpha) - 1 for p in self.leaf_params.values())
 
     @property
     def init_len(self) -> int:
@@ -84,18 +120,20 @@ class GenerativeSpec:
     def default_scale(self) -> float:
         if self.init_scale is not None:
             return self.init_scale
-        if self.kind == "ar":
-            return sqrt(float(np.mean([p.sigma2 for p in self.leaf_params.values()])) or 1.0)
-        return sqrt(float(np.mean([p.alpha[0] for p in self.leaf_params.values()])))
+        variances = [p.sigma2 if isinstance(p, ArLeaf) else p.alpha[0] for p in self.leaf_params.values()]
+        return sqrt(float(np.mean(variances)) or 1.0)  # alpha_0 > 0, so only AR leaves can need the 1.0
 
 
 def generate(spec: GenerativeSpec, n: int, seed: int) -> np.ndarray:
-    """Sample a series of length n + init_len (initial segment included)."""
+    """Sample a series of length n + init_len (initial segment included).
+
+    ValueError if a draw, burn-in included, leaves float64: the leaves make the series explode.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     rng = np.random.default_rng(seed)
     init_len = max(spec.init_len, 1)
-    hist = list(rng.normal(0.0, spec.default_scale(), size=init_len))
+    hist = rng.normal(0.0, spec.default_scale(), size=init_len).tolist()
     # rng.normal(0.0, s) is 0.0 + s * z for the next standard normal z of the stream, so one block of z
     # draws the same values as a scalar call per step
     noise = rng.standard_normal(spec.burn_in + n + spec.init_len).tolist()
@@ -103,29 +141,40 @@ def generate(spec: GenerativeSpec, n: int, seed: int) -> np.ndarray:
     depth = spec.tree.depth
     order = spec.order
     quantize = spec.quantizer
-    context = tuple(quantize(hist[-1 - d]) for d in range(depth))  # each sample is quantized once, when drawn
-    params_of: dict[tuple[int, ...], Leaf] = {}  # the leaf of each context seen, found once
-    for z in noise:
-        params = params_of.get(context)
-        if params is None:
-            params = params_of[context] = spec.leaf_params[spec.tree.state_of(context)]
-        if spec.kind == "ar":
+    ar = isinstance(next(iter(spec.leaf_params.values())), ArLeaf)  # the family, decided once
+    if ar:
+        def draw(params: ArLeaf, z: float) -> float:
             mean = params.intercept
             for k, c in enumerate(params.phi):
                 mean += c * hist[-1 - k]
-            x = mean + (0.0 + sqrt(params.sigma2) * z)
-        else:
+            return mean + (0.0 + sqrt(params.sigma2) * z)
+    else:
+        def draw(params: ArchLeaf, z: float) -> float:
             var = params.alpha[0]
             for k, c in enumerate(params.alpha[1:]):
                 var += c * hist[-1 - k] ** 2
-            x = 0.0 + sqrt(var) * z
-        hist.append(x)
-        if len(hist) > max(init_len, depth, order) + 1:
-            del hist[0]
-        if depth:
-            context = (quantize(x),) + context[:-1]
-        out.append(x)
-    return np.asarray(out[spec.burn_in :])
+            return 0.0 + sqrt(var) * z
+    context = tuple(quantize(hist[-1 - d]) for d in range(depth))  # each sample is quantized once, when drawn
+    params_of: dict[tuple[int, ...], Leaf] = {}  # the leaf of each context seen, found once
+    try:
+        for z in noise:
+            params = params_of.get(context)
+            if params is None:
+                params = params_of[context] = spec.leaf_params[spec.tree.state_of(context)]
+            x = draw(params, z)
+            hist.append(x)
+            if len(hist) > max(init_len, depth, order) + 1:
+                del hist[0]
+            if depth:
+                context = (quantize(x),) + context[:-1]
+            out.append(x)
+    except OverflowError:  # an ARCH lag's square left float64
+        out.append(inf)
+    series = np.asarray(out)
+    if not np.isfinite(series).all():
+        raise ValueError(f"draw {np.argmin(np.isfinite(series)) + 1} leaves float64: "
+                         f"the leaves' {'phi' if ar else 'alpha'} make the series explode")
+    return series[spec.burn_in :]
 
 
 @dataclass(frozen=True)
@@ -138,7 +187,6 @@ class NamedSpec:
 def builtin_specs() -> dict[str, NamedSpec]:
     """Registry of the benchmark generators, addressable by name."""
     sim_1 = GenerativeSpec(
-        kind="ar",
         tree=TreeModel(2, ((1,), (0, 1), (0, 0))),
         quantizer=Quantizer((0.0,)),
         leaf_params={
@@ -150,7 +198,6 @@ def builtin_specs() -> dict[str, NamedSpec]:
     quiet = ArLeaf(phi=(0.0,), sigma2=0.25)
     persistent = ArLeaf(phi=(0.99,), sigma2=0.005**2)
     sim_2 = GenerativeSpec(
-        kind="ar",
         tree=TreeModel(3, ((1,), (0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2))),
         quantizer=Quantizer((-0.5, 0.5)),
         leaf_params={
@@ -166,7 +213,6 @@ def builtin_specs() -> dict[str, NamedSpec]:
     # Two-regime threshold AR(5): oscillatory upper regime, near-unit-root
     # lag-5 pull below the threshold.  Globally stable.
     sim_3 = GenerativeSpec(
-        kind="ar",
         tree=TreeModel(2, ((0,), (1,))),
         quantizer=Quantizer((-0.2,)),
         leaf_params={
@@ -175,7 +221,6 @@ def builtin_specs() -> dict[str, NamedSpec]:
         },
     )
     arch_sim = GenerativeSpec(
-        kind="arch",
         tree=TreeModel(2, ((0,), (1,))),
         quantizer=Quantizer((0.0,)),
         leaf_params={

@@ -130,7 +130,6 @@ def random_mixture_series(seed: int, n: int = 30) -> np.ndarray:
     rng = np.random.default_rng(seed)
     phi = rng.uniform(-0.6, 0.6, size=4)
     spec = GenerativeSpec(
-        kind="ar",
         tree=TreeModel(2, ((0,), (1,))),
         quantizer=Quantizer((0.0,)),
         leaf_params={

@@ -16,8 +16,8 @@ exactly once) or the unchanged copy fails.  Nothing is written outside the
 temporary directory.
 
 pytest does not collect this file (no ``test_`` prefix): it checks the
-suite, not the library.  Run it when a change touches the code a mutant
-sits in, and add a row for each defect a new test is written to catch.
+suite, not the library.  CI runs it after the Tier-1 tests.  Add a row for
+each defect a new test is written to catch.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ MUTANTS = [
     ("gaussian-density-without-2", "forecasting.py",
      "(x - mean) ** 2 / (2.0 * var)",
      "(x - mean) ** 2 / var",
-     "tests/test_forecast.py::TestRollingArch::test_log_loss_beats_constant_variance"),
+     "tests/test_forecast.py::test_gaussian_log_density_matches_scipy"),
     ("log-beta-for-absent-depth-d-child", "tree.py",
      "[self._log_beta] * (depth - 1) + [0.0, None]",
      "[self._log_beta] * depth + [None]",
@@ -80,6 +80,18 @@ MUTANTS = [
      "state.nonconverged = (",
      "state.nonconverged = False and (",
      "tests/test_arch.py::TestBatchKernel::test_cases_reach_their_branches"),
+    ("arch-one-warm-iteration", "arch.py",
+     "WARM_ITERS = 2",
+     "WARM_ITERS = 1",
+     "tests/test_fit.py::test_arch_online_schedule"),
+    ("arch-cold-refresh-every-49", "arch.py",
+     "FULL_REFRESH_EVERY = 50",
+     "FULL_REFRESH_EVERY = 49",
+     "tests/test_fit.py::test_arch_online_schedule"),
+    ("document-numbers-not-checked-finite", "io.py",
+     "or -float_info.max <= value <= float_info.max)",
+     "or True)",
+     "tests/test_cli.py::test_non_finite_number_in_a_document_fails_with_one_error_line"),
 ]
 
 

@@ -461,6 +461,10 @@ class TestPredictive:
             ArHyperParams(order=0)
         with pytest.raises(ValueError):
             ArHyperParams(order=1, tau=-1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for knob in ("tau", "lam"):
+                with pytest.raises(ValueError, match="^tau and lam must be positive and finite$"):
+                    ArHyperParams(order=1, **{knob: bad})
 
     def test_hyperparams_are_values(self):
         hp = ArHyperParams(order=2)

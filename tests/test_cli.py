@@ -395,7 +395,7 @@ ARCH_SPEC_DOC = {  # builtin arch_sim
 
 
 @pytest.mark.parametrize("doc, spec", [
-    (AR_SPEC_DOC, GenerativeSpec(kind="ar", tree=TreeModel(2, ((0,), (1,))), quantizer=Quantizer((0.0,)),
+    (AR_SPEC_DOC, GenerativeSpec(tree=TreeModel(2, ((0,), (1,))), quantizer=Quantizer((0.0,)),
                                  leaf_params={(0,): ArLeaf(phi=(0.3,), sigma2=0.2),
                                               (1,): ArLeaf(phi=(-0.3,), sigma2=0.1)}, burn_in=10)),
     (ARCH_SPEC_DOC, builtin_specs()["arch_sim"].spec),
@@ -431,13 +431,66 @@ AR_LEAF = {"context": [0], "phi": [0.3], "sigma2": 0.2}
      "spec leaf 1 field 'alpha' is missing or malformed"),
     (b'{"kind": "ar", bad}', "Expecting property name enclosed in double quotes: line 1 column 16 (char 15)"),
     (b'{"kind": "\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte"),
+    ({**AR_SPEC_DOC, "init_scale": -1}, "init_scale must be finite and >= 0"),
+    ({"kind": "ar", "thresholds": [0.0], "init_scale": 1e300, "leaves": [{**AR_LEAF, "phi": [2.0], "sigma2": 0.1},
+                                                                      {"context": [1], "phi": [2.0], "sigma2": 0.1}]},
+     "draw 31 leaves float64: the leaves' phi make the series explode"),
 ], ids=["list", "thresholds-number", "no-sigma2", "phi-string", "context-number", "repeated-context",
-        "negative-burn-in", "kind-unknown", "arch-no-alpha", "not-json", "not-utf-8"])
+        "negative-burn-in", "kind-unknown", "arch-no-alpha", "not-json", "not-utf-8", "negative-init-scale",
+        "explosive"])
 def test_malformed_spec_file_fails_with_one_error_line(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
     spec_path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode())
     assert run(["simulate", "--spec", str(spec_path), "--n", "10", "-o", str(tmp_path / "sim.csv")]) == 1
     assert capsys.readouterr().err == f"error: {spec_path}: {message}\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_rejects_a_negative_n(tmp_path, capsys):
+    # a flag, so the error names the flag, not the spec file
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(AR_SPEC_DOC))
+    for source in (["--name", "sim_1"], ["--spec", str(spec_path)]):
+        assert run(["simulate", *source, "--n", "-1", "-o", str(tmp_path / "sim.csv")]) == 1
+        assert capsys.readouterr().err == "error: --n must be >= 0, got -1\n"
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("doc, path, field", [
+    (AR_SPEC_DOC, ("thresholds", 0), "spec field 'thresholds'"),
+    (AR_SPEC_DOC, ("leaves", 0, "phi", 0), "spec leaf 0 field 'phi'"),
+    (AR_SPEC_DOC, ("leaves", 1, "sigma2"), "spec leaf 1 field 'sigma2'"),
+    (AR_SPEC_DOC, ("leaves", 0, "intercept"), "spec leaf 0 field 'intercept'"),
+    (AR_SPEC_DOC, ("init_scale",), "spec field 'init_scale'"),
+    (ARCH_SPEC_DOC, ("leaves", 1, "alpha", 2), "spec leaf 1 field 'alpha'"),
+    ("fit", ("quantizer", "thresholds", 0), "model document field 'quantizer.thresholds'"),
+    ("fit", ("beta",), "model document field 'beta'"),
+    ("fit", ("prior", "tau"), "model document field 'prior.tau'"),
+    ("fit", ("prior", "lam"), "model document field 'prior.lam'"),
+], ids=["spec-thresholds", "spec-phi", "spec-sigma2", "spec-intercept", "spec-init-scale", "spec-alpha",
+        "model-thresholds", "model-beta", "model-tau", "model-lam"])
+def test_non_finite_number_in_a_document_fails_with_one_error_line(tmp_path, capsys, doc, path, field, value):
+    # Python's json reads NaN, Infinity and -Infinity; a document field holding one is malformed
+    data = simulate_csv(tmp_path, n=120, seed=9)
+    if doc == "fit":
+        model_doc = tmp_path / "m.json"
+        assert run(["fit", str(data), "--thresholds", "0", "--order", "2", "--depth", "4", "-o", str(model_doc)]) == 0
+        doc = json.loads(model_doc.read_text())
+        command = ["forecast", str(data), "--from-model"]
+    else:
+        command = ["simulate", "--n", "10", "--spec"]
+    doc = json.loads(json.dumps(doc))  # a deep copy
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([*command, str(doc_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {doc_path}: {field} is missing or malformed\n"
+    assert not out.exists()
 
 
 class TestSplit:

@@ -140,6 +140,37 @@ def test_arch_online_run_matches_scalar_oracle():
     assert any(f[1] for _, _, flags in runs[0] for f in flags.values())
 
 
+def test_arch_online_schedule(monkeypatch):
+    # the documented online policy, as literals: over the 120 updates of the oracle run above, a cold refit of
+    # every node after updates 50 and 100, and after each other update a warm refit of the path's nodes with 2
+    # scoring iterations, then a refresh of that path
+    series = generate(ARCH_SIM, 300, seed=1)[:300]
+    model = ArchModel(ArchConfig(order=5))
+    fitted = fit_series(series[:180], model, Quantizer((-0.3, 0.3)), 3)
+    trie, events = fitted.trie, []
+    fit_states, full_sweep, refresh_path = model.fit_states, trie.full_sweep, trie.refresh_path
+
+    def record_fit(states, warm=False, iters=None):
+        if states:  # refresh_path's log_pe call refits no state
+            events.append(("fit", sorted(map(id, states)), warm, iters))
+        fit_states(states, warm, iters)
+
+    monkeypatch.setattr(model, "fit_states", record_fit)
+    monkeypatch.setattr(trie, "full_sweep", lambda: (events.append(("sweep",)), full_sweep())[1])
+    monkeypatch.setattr(trie, "refresh_path", lambda path: (events.append(("path", path)), refresh_path(path))[1])
+    cold = []
+    for step, v in enumerate(series[180:], 1):
+        events.clear()
+        fitted.update(float(v))
+        if ("sweep",) in events:
+            cold.append(step)
+            assert events == [("sweep",), ("fit", sorted(map(id, trie.states)), False, None)]
+        else:
+            (_, path), = [e for e in events if e[0] == "path"]
+            assert events == [("fit", sorted(id(trie.states[i]) for i in path), True, 2), ("path", path)]
+    assert cold == [50, 100]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_update_rejects_non_finite_without_changing_state(bad):
     series = generate(SIM_1, 200, seed=5)

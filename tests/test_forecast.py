@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ctreemix import Quantizer, builtin_specs, fit_series, forecasting, generate
 from ctreemix import io as sio
@@ -15,6 +16,13 @@ from ctreemix.forecasting import (
 from ctreemix.tree import context_label
 
 from helpers import small_ar_model
+
+
+@pytest.mark.parametrize("x, mean, var", [
+    (0.0, 0.0, 1.0), (1.3, -0.4, 2.5), (-0.7, 0.2, 0.04), (1e-4, 0.0, 1e-8), (-2e4, 1e4, 1e8),
+])
+def test_gaussian_log_density_matches_scipy(x, mean, var):
+    assert gaussian_log_density(x, mean, var) == pytest.approx(stats.norm.logpdf(x, mean, math.sqrt(var)), rel=1e-12)
 
 
 class TestRollingAr:

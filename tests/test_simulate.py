@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -45,7 +46,6 @@ def test_output_length_includes_initial_segment():
 
 def test_zero_noise_leaf_follows_difference_equation():
     spec = GenerativeSpec(
-        kind="ar",
         tree=TreeModel(2, ((),)),
         quantizer=Quantizer((0.0,)),
         leaf_params={(): ArLeaf(phi=(0.5,), sigma2=0.0, intercept=1.0)},
@@ -127,21 +127,19 @@ def test_registry_contents():
     assert reg["sim_2"].default_n == 500
     assert reg["sim_3"].default_n == 200
     assert reg["sim_2"].spec.tree.m == 3
-    assert reg["arch_sim"].spec.kind == "arch"
+    assert all(isinstance(p, ArchLeaf) for p in reg["arch_sim"].spec.leaf_params.values())
 
 
 def test_spec_validation():
     tree = TreeModel(2, ((0,), (1,)))
     with pytest.raises(ValueError):
         GenerativeSpec(
-            kind="ar",
             tree=tree,
             quantizer=Quantizer((0.0,)),
             leaf_params={(0,): ArLeaf((0.5,), 1.0)},  # missing leaf (1,)
         )
     with pytest.raises(TypeError):
         GenerativeSpec(
-            kind="arch",
             tree=tree,
             quantizer=Quantizer((0.0,)),
             leaf_params={(0,): ArLeaf((0.5,), 1.0), (1,): ArchLeaf((0.1,))},
@@ -153,9 +151,35 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="^sigma2 must be >= 0$"):
         ArLeaf((0.5,), -1.0)
     leaves = {(0,): ArLeaf((0.5,), 1.0), (1,): ArLeaf((0.5,), 1.0)}
-    with pytest.raises(ValueError, match="^kind must be 'ar' or 'arch'$"):
-        GenerativeSpec(kind="garch", tree=tree, quantizer=Quantizer((0.0,)), leaf_params=leaves)
     with pytest.raises(ValueError, match="^quantizer and tree alphabet sizes differ$"):
-        GenerativeSpec(kind="ar", tree=tree, quantizer=Quantizer((-0.5, 0.5)), leaf_params=leaves)
+        GenerativeSpec(tree=tree, quantizer=Quantizer((-0.5, 0.5)), leaf_params=leaves)
     with pytest.raises(ValueError, match="^n must be >= 0$"):
         generate(builtin_specs()["sim_1"].spec, -1, seed=0)
+    with pytest.raises(ValueError, match="^init_scale must be finite and >= 0$"):
+        GenerativeSpec(tree=tree, quantizer=Quantizer((0.0,)), leaf_params=leaves, init_scale=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_parameters_are_rejected(bad):
+    for args in (((bad,), 1.0), ((0.5,), bad), ((0.5,), 1.0, bad)):
+        with pytest.raises(ValueError, match="^phi, sigma2 and intercept must be finite$"):
+            ArLeaf(*args)
+    for alpha in ((bad,), (0.1, bad)):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            ArchLeaf(alpha)
+    spec = builtin_specs()["sim_1"].spec
+    with pytest.raises(ValueError, match="^init_scale must be finite and >= 0$"):
+        GenerativeSpec(tree=spec.tree, quantizer=spec.quantizer, leaf_params=spec.leaf_params, init_scale=bad)
+
+
+@pytest.mark.parametrize("leaf, init_scale, message", [
+    (ArLeaf((2.0,), 0.1), None, "draw 1028 leaves float64: the leaves' phi make the series explode"),
+    (ArLeaf((2.0,), 0.1), 1e300, "draw 31 leaves float64: the leaves' phi make the series explode"),
+    (ArchLeaf((0.1, 0.2)), 1e200, "draw 1 leaves float64: the leaves' alpha make the series explode"),  # lag ** 2
+], ids=["ar", "ar-burn-in", "arch-square"])
+def test_draws_that_leave_float64_fail(leaf, init_scale, message):
+    tree = TreeModel(2, ((0,), (1,)))
+    spec = GenerativeSpec(tree=tree, quantizer=Quantizer((0.0,)), leaf_params=dict.fromkeys(tree.leaves, leaf),
+                          init_scale=init_scale)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate(spec, 3000, seed=0)
