@@ -18,6 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import io as sio
+from .ar import ArHyperParams
+from .arch import ArchConfig
 from .fit import check_training_length, fit_series
 from .forecasting import RunConfig, rolling_forecast
 from .selection import SelectionGrid, candidate_grid, select_hyperparams
@@ -122,7 +124,8 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _config_and_grid(args, train) -> tuple[RunConfig, SelectionGrid]:
     """The run config the flags describe, at the first cell of the candidate grid, and that grid: the
-    given thresholds and order, else the percentile grid and orders 1..--max-order."""
+    given thresholds and order, else the percentile grid and orders 1..--max-order.  A train no longer
+    than the grid's initial segment fails first."""
     if args.thresholds is not None:
         candidates = (_floats(args.thresholds),)
     elif args.threshold_candidates is not None:
@@ -131,19 +134,21 @@ def _config_and_grid(args, train) -> tuple[RunConfig, SelectionGrid]:
         candidates = None
     grid = candidate_grid(train, args.alphabet, candidates, args.order, args.max_order, args.grid_points)
     depth = {"ar": 10, "arch": 5}[args.model] if args.depth is None else args.depth
-    fisher_iters = RunConfig.fisher_iters if args.fisher_iters is None else args.fisher_iters
-    return RunConfig(kind=args.model, thresholds=grid.thresholds[0], order=grid.orders[0], depth=depth,
-                     beta=args.beta, intercept=args.intercept, fisher_iters=fisher_iters), grid
+    check_training_length(len(train), depth, grid.orders)  # before the leaf parameters check --order
+    if args.model == "ar":
+        leaf = ArHyperParams(grid.orders[0], args.intercept)
+    else:
+        leaf = ArchConfig(grid.orders[0], ArchConfig.fisher_iters if args.fisher_iters is None else args.fisher_iters)
+    return RunConfig(leaf, grid.thresholds[0], depth, args.beta), grid
 
 
 def _resolve_config(args, train) -> tuple[RunConfig, Optional[list]]:
     """Thresholds/order from flags, running the evidence grid search on train if either is open."""
     cfg, grid = _config_and_grid(args, train)
     if args.thresholds is not None and args.order is not None:
-        check_training_length(len(train), cfg.depth, grid.orders)
         return cfg, None
     result = select_hyperparams(train, grid, cfg.make_model, cfg.depth, cfg.beta)
-    return replace(cfg, thresholds=result.thresholds, order=result.order), list(result.table)
+    return replace(cfg, leaf=replace(cfg.leaf, order=result.order), thresholds=result.thresholds), list(result.table)
 
 
 def _emit(*outputs: tuple[str, Optional[str]]) -> None:
@@ -188,6 +193,8 @@ def _train_len(args, n: int, need_test: bool = True) -> int:
         out = n - args.test_last
     elif not isfinite(split) or split >= 1.0 and split != int(split):
         raise ValueError(f"--split {split!r} is neither a fraction below 1 nor a whole count of samples")
+    elif split > n:  # before int(split), which could have hundreds of digits
+        raise ValueError(f"--split {split!r} is more samples than the series has (n={n})")
     else:
         out = int(split) if split >= 1.0 else int(n * split)
     if not 0 < out <= n - need_test:
@@ -212,7 +219,7 @@ def cmd_forecast(args) -> int:
     train_len = _train_len(args, len(series))
     if args.from_model:
         cfg = _read_json(args.from_model, RunConfig.from_document)
-        check_training_length(train_len, cfg.depth, (cfg.order,))
+        check_training_length(train_len, cfg.depth, (cfg.leaf.order,))
     else:
         cfg, _ = _resolve_config(args, series[:train_len])
     report = rolling_forecast(series, cfg, train_len=train_len)

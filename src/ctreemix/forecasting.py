@@ -9,9 +9,9 @@ model before moving on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import log
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,50 +26,37 @@ from .tree import TreeModel, check_labelled_alphabet, context_label, default_bet
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to fit one model: leaf family, tree and prior knobs."""
+    """Everything needed to fit one model: the leaf parameters, whose class is the family, and the tree knobs."""
 
-    kind: str  # "ar" | "arch"
+    leaf: Union[ArHyperParams, ArchConfig]
     thresholds: tuple[float, ...]
-    order: int
     depth: int = 10
     beta: Optional[float] = None
-    intercept: bool = False  # ar only
-    tau: float = 1.0  # ar only
-    lam: float = 1.0  # ar only
-    fisher_iters: int = 10  # arch only
 
     def __post_init__(self):
-        if self.kind not in ("ar", "arch"):
-            raise ValueError("kind must be 'ar' or 'arch'")
-        if self.intercept and self.kind != "ar":
-            raise ValueError("an intercept applies to ar leaves only")
-        if (self.tau, self.lam) != (RunConfig.tau, RunConfig.lam) and self.kind != "ar":
-            raise ValueError("tau and lam apply to ar leaves only")
-        if self.fisher_iters != RunConfig.fisher_iters and self.kind != "arch":
-            raise ValueError("fisher_iters applies to arch leaves only")
+        if not isinstance(self.leaf, (ArHyperParams, ArchConfig)):
+            raise TypeError("leaf must be an ArHyperParams or an ArchConfig")
 
     def make_model(self, order: Optional[int] = None):
-        p = self.order if order is None else order
-        if self.kind == "ar":
-            return ArModel(ArHyperParams(order=p, intercept=self.intercept, tau=self.tau, lam=self.lam))
-        return ArchModel(ArchConfig(order=p, fisher_iters=self.fisher_iters))
+        leaf = self.leaf if order is None else replace(self.leaf, order=order)
+        return ArModel(leaf) if isinstance(leaf, ArHyperParams) else ArchModel(leaf)
 
     def quantizer(self) -> Quantizer:
         return Quantizer(self.thresholds)
 
     def to_document(self) -> dict:
         """The config fields of a fit document; the other family's knobs are null."""
-        ar = self.kind == "ar"
+        leaf, ar = self.leaf, isinstance(self.leaf, ArHyperParams)
         m = len(self.thresholds) + 1
         return {
-            "model": self.kind,
+            "model": "ar" if ar else "arch",
             "quantizer": {"thresholds": [float(c) for c in self.thresholds], "alphabet_size": m},
             "depth": self.depth,
             "beta": float(default_beta(m) if self.beta is None else self.beta),
-            "order": self.order,
-            "intercept": bool(self.intercept),
-            "prior": {"tau": float(self.tau), "lam": float(self.lam)} if ar else None,
-            "fisher_iters": None if ar else self.fisher_iters,
+            "order": leaf.order,
+            "intercept": ar and bool(leaf.intercept),
+            "prior": {"tau": float(leaf.tau), "lam": float(leaf.lam)} if ar else None,
+            "fisher_iters": None if ar else leaf.fisher_iters,
         }
 
     @classmethod
@@ -80,16 +67,15 @@ class RunConfig:
         kind = _doc_field(doc, "model", (str,))
         if kind not in ("ar", "arch"):
             raise ValueError(f"model document field 'model' is malformed: {kind!r}")
-        thresholds = _doc_field(doc, "quantizer.thresholds", (list,), _NUMBER)
-        if kind == "ar":
-            family = {"tau": float(_doc_field(doc, "prior.tau", _NUMBER)),
-                      "lam": float(_doc_field(doc, "prior.lam", _NUMBER))}
-        else:
-            family = {"fisher_iters": _doc_field(doc, "fisher_iters")}
-        return cls(kind=kind, thresholds=tuple(float(v) for v in thresholds),
-                   order=_doc_field(doc, "order"), depth=_doc_field(doc, "depth"),
-                   beta=float(_doc_field(doc, "beta", _NUMBER)),
-                   intercept=_doc_field(doc, "intercept", (bool,)), **family)
+        thresholds = tuple(float(v) for v in _doc_field(doc, "quantizer.thresholds", (list,), _NUMBER))
+        family = ((float(_doc_field(doc, "prior.tau", _NUMBER)), float(_doc_field(doc, "prior.lam", _NUMBER)))
+                  if kind == "ar" else (_doc_field(doc, "fisher_iters"),))
+        order, depth = _doc_field(doc, "order"), _doc_field(doc, "depth")
+        beta, intercept = float(_doc_field(doc, "beta", _NUMBER)), _doc_field(doc, "intercept", (bool,))
+        if kind == "arch" and intercept:
+            raise ValueError("an intercept applies to ar leaves only")
+        leaf = ArHyperParams(order, intercept, *family) if kind == "ar" else ArchConfig(order, *family)
+        return cls(leaf, thresholds, depth, beta)
 
 
 @dataclass(frozen=True)
@@ -153,7 +139,7 @@ def rolling_forecast(
         cumulative_log_loss=cll,
         records=records,
         thresholds=config.thresholds,
-        order=config.order,
+        order=config.leaf.order,
         map_tree=tree,
         map_posterior=fitted.posterior_of(tree),
         log_evidence=fitted.log_evidence(),

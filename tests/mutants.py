@@ -92,6 +92,14 @@ MUTANTS = [
      "or -float_info.max <= value <= float_info.max)",
      "or True)",
      "tests/test_cli.py::test_non_finite_number_in_a_document_fails_with_one_error_line"),
+    ("document-arch-intercept-dropped", "forecasting.py",
+     'if kind == "arch" and intercept:',
+     'if False:',
+     "tests/test_io.py::TestDocuments::test_config_rejects_the_other_familys_knobs[arch-intercept]"),
+    ("make-model-ignores-order", "forecasting.py",
+     "leaf = self.leaf if order is None else replace(self.leaf, order=order)",
+     "leaf = self.leaf",
+     "tests/test_selection.py::test_every_cell_equals_a_fit_at_its_order[ar-deep]"),
 ]
 
 

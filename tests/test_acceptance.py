@@ -142,7 +142,7 @@ def test_c6_evidence_grid_argmax():
         orders=(1, 2, 3, 4, 5),
         thresholds=((-0.1,), (-0.05,), (0.0,), (0.05,), (0.1,)),
     )
-    factory = RunConfig(kind="ar", thresholds=(0.0,), order=1, depth=10).make_model
+    factory = RunConfig(leaf=cm.ArHyperParams(1), thresholds=(0.0,), depth=10).make_model
     hits = 0
     for seed in range(20):
         series = cm.generate(spec, 600, seed=seed)
@@ -157,8 +157,8 @@ def sim1_forecasts():
     mix, single, oracle = [], [], []
     for seed in range(10):
         series = cm.generate(spec, 600, seed=seed)
-        mix.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=10)).mse)
-        single.append(rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=0)).mse)
+        mix.append(rolling_forecast(series, RunConfig(leaf=cm.ArHyperParams(2), thresholds=(0.0,), depth=10)).mse)
+        single.append(rolling_forecast(series, RunConfig(leaf=cm.ArHyperParams(2), thresholds=(0.0,), depth=0)).mse)
         errs = [
             (series[i] - sum(c * series[i - 1 - k] for k, c in enumerate(
                 spec.leaf_params[spec.tree.state_of((Q0(series[i - 1]), Q0(series[i - 2])))].phi))) ** 2
@@ -191,7 +191,7 @@ def test_c7c_sim3_mse_band():
     mses = []
     for seed in range(10):
         series = cm.generate(spec, 200, seed=seed)
-        cfg = RunConfig(kind="ar", thresholds=(-0.2,), order=5, depth=10)
+        cfg = RunConfig(leaf=cm.ArHyperParams(5), thresholds=(-0.2,), depth=10)
         mses.append(rolling_forecast(series, cfg).mse)
     med = float(np.median(mses))
     report("7c", med < 1.1, f"sim_3 rolling MSE median {med:.4f} (must be < 1.1)")

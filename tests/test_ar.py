@@ -470,4 +470,4 @@ class TestPredictive:
         hp = ArHyperParams(order=2)
         assert hp == ArHyperParams(order=2)
         assert hash(hp) == hash(ArHyperParams(order=2))
-        assert RunConfig(kind="ar", thresholds=(0.0,), order=2).make_model().hp == hp
+        assert RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,)).make_model().hp == hp

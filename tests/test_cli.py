@@ -515,6 +515,9 @@ class TestSplit:
             self.train_len(100, split=100)
         with pytest.raises(ValueError, match="no usable"):
             self.train_len(100, test_last=100)
+        # checked on the float, before int() would give the count's 301 digits
+        with pytest.raises(ValueError, match=r"^--split 1e\+300 is more samples than the series has \(n=100\)$"):
+            self.train_len(100, split=1e300)
 
 
 @pytest.mark.parametrize("split", ["1.9", "300.5", "inf", "nan"])
@@ -635,6 +638,22 @@ def test_from_model_training_prefix_no_longer_than_the_documents_initial_segment
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, field, value, message", [
+    ("ar", "order", 0, "AR order must be >= 1"),
+    ("arch", "fisher_iters", -1, "fisher_iters must be >= 0"),
+], ids=["ar-order", "arch-fisher-iters"])
+def test_from_model_leaf_parameter_out_of_range_names_the_file(tmp_path, capsys, model, field, value, message):
+    # from_document builds the leaf parameters, so their own check fails while the file is being read
+    data = simulate_csv(tmp_path, name="arch_sim" if model == "arch" else "sim_1", n=120, seed=9)
+    doc_path, out = tmp_path / "m.json", tmp_path / "out"
+    assert run(["fit", str(data), "--model", model, "--thresholds", "0", "--order", "2", "--depth", "3",
+                "-o", str(doc_path)]) == 0
+    doc_path.write_text(json.dumps({**json.loads(doc_path.read_text()), field: value}))
+    assert run(["forecast", str(data), "--from-model", str(doc_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {doc_path}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["evidence-grid", "--order", "0", "--grid-points", "3"], "AR order must be >= 1"),
     (["evidence-grid", "--beta", "1.5", "--grid-points", "3"], "beta must lie in (0, 1)"),
@@ -678,7 +697,9 @@ def test_a_warning_made_an_error_is_one_error_line(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["evidence-grid", "--thresholds", "0", "--depth", "2", "--max-order", "2", "--beta", "1.5"],
     ["fit", "--thresholds", "0", "--order", "2", "--depth", "2", "--beta", "1.5"],
-], ids=["grid", "fixed"])
+    ["evidence-grid", "--thresholds", "0", "--depth", "2", "--order", "0"],
+    ["fit", "--thresholds", "0", "--order", "0", "--depth", "2"],
+], ids=["grid", "fixed", "grid-order-0", "fixed-order-0"])
 def test_the_length_rule_is_checked_before_the_run_level_flags(tmp_path, capsys, args):
     data = tmp_path / "two.csv"
     sio.write_series_csv([0.5, -0.2], str(data))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctreemix import Quantizer, builtin_specs, fit_series, forecasting, generate
+from ctreemix import ArchConfig, ArHyperParams, Quantizer, builtin_specs, fit_series, forecasting, generate
 from ctreemix import io as sio
 from ctreemix.forecasting import (
     RunConfig,
@@ -28,7 +28,7 @@ def test_gaussian_log_density_matches_scipy(x, mean, var):
 class TestRollingAr:
     def test_train_len_defaults_to_half_and_must_leave_both_parts(self):
         series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
-        cfg = RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5)
+        cfg = RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=5)
         assert rolling_forecast(series, cfg).train_len == len(series) // 2
         for bad in (0, len(series)):
             with pytest.raises(ValueError, match="no usable train/test data"):
@@ -38,14 +38,14 @@ class TestRollingAr:
         # the report's leaf labels write one digit per symbol: (1, 0) and (10,) would both be "10"
         monkeypatch.setattr(forecasting, "fit_series", lambda *a, **k: pytest.fail("the series was fitted"))
         series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
-        cfg = RunConfig(kind="ar", thresholds=tuple(np.linspace(-1.0, 1.0, 10)), order=1, depth=2)
+        cfg = RunConfig(leaf=ArHyperParams(1), thresholds=tuple(np.linspace(-1.0, 1.0, 10)), depth=2)
         with pytest.raises(ValueError, match=r"^alphabet size 11 is above 10: leaf labels write one digit per symbol"):
             rolling_forecast(series, cfg)
         assert context_label((1, 0)) == "10" and context_label(()) == ""
 
     def test_record_consistency(self):
         series = generate(builtin_specs()["sim_1"].spec, 200, seed=0)
-        rep = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5))
+        rep = rolling_forecast(series, RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=5))
         assert len(rep.records) == len(series) - rep.train_len
         for r in rep.records:
             assert r.squared_error == (r.realised - r.mean) ** 2
@@ -60,7 +60,7 @@ class TestRollingAr:
         series = np.full(240, 3.7)
         rep = rolling_forecast(
             series,
-            RunConfig(kind="ar", thresholds=(0.0,), order=1, depth=2, intercept=True),
+            RunConfig(leaf=ArHyperParams(1, intercept=True), thresholds=(0.0,), depth=2),
         )
         assert rep.mse < 1e-3
         assert rep.records[-1].squared_error < 1e-5
@@ -91,16 +91,16 @@ class TestRollingAr:
         shift = 0.5
         q, q_shift = Quantizer((0.0,)), Quantizer((shift,))
         assert [q(v) for v in series] == [q_shift(v + shift) for v in series]
-        cfg = RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=6, intercept=True)
-        cfg_shift = RunConfig(kind="ar", thresholds=(shift,), order=2, depth=6, intercept=True)
+        cfg = RunConfig(leaf=ArHyperParams(2, intercept=True), thresholds=(0.0,), depth=6)
+        cfg_shift = RunConfig(leaf=ArHyperParams(2, intercept=True), thresholds=(shift,), depth=6)
         rep = rolling_forecast(series, cfg)
         rep_shift = rolling_forecast(series + shift, cfg_shift)
         assert rep_shift.mse == pytest.approx(rep.mse, rel=0.05)
 
     def test_beats_single_model_on_regime_data(self):
         series = generate(builtin_specs()["sim_1"].spec, 600, seed=3)
-        mixture = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=10))
-        single = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=0))
+        mixture = rolling_forecast(series, RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=10))
+        single = rolling_forecast(series, RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=0))
         assert mixture.mse < single.mse
 
 
@@ -109,7 +109,7 @@ class TestRollingArch:
         series = generate(builtin_specs()["arch_sim"].spec, 1300, seed=4)
         rep = rolling_forecast(
             series,
-            RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3, fisher_iters=10),
+            RunConfig(leaf=ArchConfig(2, fisher_iters=10), thresholds=(0.0,), depth=3),
             train_len=len(series) - 130,
         )
         assert math.isfinite(rep.cumulative_log_loss)
@@ -122,7 +122,7 @@ class TestRollingArch:
 
     def test_first_step_matches_batch_fit(self):
         series = generate(builtin_specs()["arch_sim"].spec, 400, seed=5)
-        cfg = RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3, fisher_iters=10)
+        cfg = RunConfig(leaf=ArchConfig(2, fisher_iters=10), thresholds=(0.0,), depth=3)
         rep = rolling_forecast(series, cfg, train_len=350)
         fitted = fit_series(series[:350], cfg.make_model(), cfg.quantizer(), 3, cfg.beta)
         mean, var = fitted.predict_next()
@@ -131,8 +131,8 @@ class TestRollingArch:
 
 
 @pytest.mark.parametrize("name, config", [
-    ("sim_2", RunConfig(kind="ar", thresholds=(-0.5, 0.5), order=2, depth=4)),
-    ("arch_sim", RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3)),
+    ("sim_2", RunConfig(leaf=ArHyperParams(2), thresholds=(-0.5, 0.5), depth=4)),
+    ("arch_sim", RunConfig(leaf=ArchConfig(2), thresholds=(0.0,), depth=3)),
 ], ids=["ar", "arch"])
 def test_reports_and_documents_read_one_map_tree(monkeypatch, name, config):
     # the report and the fit document build the MAP tree once and read its posterior, tree and leaves off it

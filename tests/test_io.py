@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctreemix import Quantizer, TreeModel, builtin_specs, fit_series, generate
+from ctreemix import ArchConfig, ArHyperParams, Quantizer, TreeModel, builtin_specs, fit_series, generate
 from ctreemix import io as sio
 from ctreemix.forecasting import RunConfig
 
@@ -126,7 +126,7 @@ class TestTransforms:
 
 
 class TestDocuments:
-    config = RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=5, beta=0.5)
+    config = RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=5, beta=0.5)
 
     def fitted(self):
         series = generate(builtin_specs()["sim_1"].spec, 300, seed=0)
@@ -157,9 +157,8 @@ class TestDocuments:
         assert set(leaf["leaf"]) == {"phi", "sigma2", "count"}
 
     @pytest.mark.parametrize("config", [
-        RunConfig(kind="ar", thresholds=(-0.2, 0.3), order=2, depth=4, beta=0.6,
-                  intercept=True, tau=2.0, lam=0.5),
-        RunConfig(kind="arch", thresholds=(0.0,), order=2, depth=3, fisher_iters=0),
+        RunConfig(leaf=ArHyperParams(2, intercept=True, tau=2.0, lam=0.5), thresholds=(-0.2, 0.3), depth=4, beta=0.6),
+        RunConfig(leaf=ArchConfig(2, fisher_iters=0), thresholds=(0.0,), depth=3),
     ], ids=["ar", "arch"])
     def test_config_round_trip(self, config):
         series = generate(builtin_specs()["sim_1"].spec, 300, seed=0)
@@ -168,17 +167,16 @@ class TestDocuments:
         # a beta left at None is stored as the value it resolved to
         assert RunConfig.from_document(json.loads(text)) == replace(config, beta=fitted.beta)
 
-    @pytest.mark.parametrize("kind, knob, match", [
-        ("arch", {"tau": 2.0}, "tau and lam apply to ar leaves only"),
-        ("arch", {"lam": 0.5}, "tau and lam apply to ar leaves only"),
-        ("ar", {"fisher_iters": 5}, "fisher_iters applies to arch leaves only"),
-        ("arch", {"intercept": True}, "an intercept applies to ar leaves only"),
-        ("garch", {}, "kind must be 'ar' or 'arch'"),
-    ], ids=["arch-tau", "arch-lam", "ar-fisher-iters", "arch-intercept", "unknown-kind"])
-    def test_config_rejects_the_other_familys_knobs(self, kind, knob, match):
-        # to_document would write such a knob as null, so the round trip would lose it
-        with pytest.raises(ValueError, match=match):
-            RunConfig(kind=kind, thresholds=(0.0,), order=2, **knob)
+    @pytest.mark.parametrize("build, error, match", [
+        (lambda: RunConfig(leaf="garch", thresholds=(0.0,)), TypeError,
+         "^leaf must be an ArHyperParams or an ArchConfig$"),
+        (lambda: RunConfig.from_document({**RunConfig(leaf=ArchConfig(2), thresholds=(0.0,)).to_document(),
+                                          "intercept": True}), ValueError, "^an intercept applies to ar leaves only$"),
+    ], ids=["unknown-kind", "arch-intercept"])
+    def test_config_rejects_the_other_familys_knobs(self, build, error, match):
+        # the leaf's class is the family; to_document writes an ARCH intercept as false, so a true one would be lost
+        with pytest.raises(error, match=match):
+            build()
 
     @pytest.mark.parametrize("edit, field", [
         (lambda d: d.pop("depth"), "'depth'"),
@@ -201,7 +199,7 @@ class TestDocuments:
         from ctreemix.forecasting import rolling_forecast
 
         series = generate(builtin_specs()["sim_1"].spec, 120, seed=1)
-        rep = rolling_forecast(series, RunConfig(kind="ar", thresholds=(0.0,), order=2, depth=4))
+        rep = rolling_forecast(series, RunConfig(leaf=ArHyperParams(2), thresholds=(0.0,), depth=4))
         text = sio.records_csv(rep.records)
         assert text.endswith("\r\n") and text.count("\r\n") == len(rep.records) + 1
         rows = list(csv.reader(text.splitlines()))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctreemix import ArModel, Quantizer, builtin_specs, fit_series, generate
+from ctreemix import ArchConfig, ArHyperParams, ArModel, Quantizer, builtin_specs, fit_series, generate
 from ctreemix import selection
 from ctreemix.forecasting import RunConfig
 from ctreemix.selection import (
@@ -13,7 +13,7 @@ from ctreemix.selection import (
 
 
 def ar_factory(intercept=False):
-    return RunConfig(kind="ar", thresholds=(0.0,), order=1, depth=6, intercept=intercept).make_model
+    return RunConfig(leaf=ArHyperParams(1, intercept=intercept), thresholds=(0.0,), depth=6).make_model
 
 
 def test_single_candidate_returned():
@@ -134,7 +134,7 @@ def test_every_cell_scores_the_same_samples():
     series = generate(spec, 600, seed=9) * 5
     thresholds = tuple(5 * t for t in spec.quantizer.thresholds)
     grid = SelectionGrid(orders=(1, 2, 3, 4, 5), thresholds=(thresholds,))
-    make = RunConfig(kind="ar", thresholds=thresholds, order=1, depth=1).make_model
+    make = RunConfig(leaf=ArHyperParams(1), thresholds=thresholds, depth=1).make_model
     res = select_hyperparams(series, grid, make, depth=1)
     assert res.order == 2  # scored from each order's own init, order 3 won
     for cell in res.table:
@@ -169,7 +169,8 @@ def test_every_cell_equals_a_fit_at_its_order(kind, intercept, depth):
     series = generate(spec, 300 if kind == "arch" else 500, seed=depth)
     orders = (0, 1, 2, 3) if kind == "arch" else (1, 2, 3)
     grid = SelectionGrid(orders=orders, thresholds=((-0.3, 0.3), (-0.5, 0.1)))
-    make = RunConfig(kind=kind, thresholds=(-0.3, 0.3), order=1, depth=depth, intercept=intercept).make_model
+    leaf = ArchConfig(1) if kind == "arch" else ArHyperParams(1, intercept=intercept)
+    make = RunConfig(leaf=leaf, thresholds=(-0.3, 0.3), depth=depth).make_model
     res = select_hyperparams(series, grid, make, depth)
     init = max(depth, 3)
     assert [(cell.order, cell.thresholds) for cell in res.table] == [
