@@ -64,15 +64,19 @@ class ArchConfig:
 class ArchNodeState:
     """A node's rows, xs (n,) and zs (n, p+1), plus the cached fit.
 
-    The arrays are never written in place: ``add`` builds new ones, so a
-    state may hold views of arrays shared with other states.
+    A state may start out borrowing its arrays (the constructor's, or views
+    shared with other states); it never writes them.  Its first ``add``
+    copies the rows into buffers it owns, which double when full, and
+    ``xs``/``zs`` are then views of their first n rows.  Rows below n never
+    change, so arrays handed out before an ``add`` keep their contents.
     """
 
-    __slots__ = ("xs", "zs", "theta", "log_pe_cached", "flagged", "nonconverged")
+    __slots__ = ("xs", "zs", "_xbuf", "_zbuf", "theta", "log_pe_cached", "flagged", "nonconverged")
 
     def __init__(self, xs: Optional[np.ndarray] = None, zs: Optional[np.ndarray] = None):
         self.xs = np.empty(0) if xs is None else xs
         self.zs = np.empty((0, 0)) if zs is None else zs
+        self._xbuf = self._zbuf = None  # the row buffers this state owns; None while its rows are borrowed
         self.theta: Optional[np.ndarray] = None
         self.log_pe_cached: Optional[float] = None  # None: the fit is stale
         self.flagged = False        # too few observations for a trustworthy fit
@@ -83,10 +87,23 @@ class ArchNodeState:
         return len(self.xs)
 
     def add(self, x: float, z: Sequence[float]) -> None:
-        """Append one observation x with design row z; a float array z is kept, not copied."""
-        row = np.asarray(z, dtype=float).reshape(1, -1)
-        self.zs = np.vstack((self.zs, row)) if self.count else row
-        self.xs = np.append(self.xs, x)
+        """Append one observation x with design row z, copied into row n of this state's own buffers.
+
+        A row whose width differs from the rows already held raises ValueError.
+        """
+        row = np.asarray(z, dtype=float).reshape(-1)
+        n = self.count
+        if n and len(row) != self.zs.shape[1]:  # checked here: assigning a row of width 1 would broadcast
+            raise ValueError(f"a design row of width {len(row)} added to rows of width {self.zs.shape[1]}")
+        if self._zbuf is None or n == len(self._zbuf):
+            cap = max(8, 2 * n)
+            xbuf, zbuf = np.empty(cap), np.empty((cap, len(row)))
+            if n:
+                xbuf[:n], zbuf[:n] = self.xs, self.zs
+            self._xbuf, self._zbuf = xbuf, zbuf
+        self._xbuf[n] = x
+        self._zbuf[n] = row
+        self.xs, self.zs = self._xbuf[:n + 1], self._zbuf[:n + 1]
         self.log_pe_cached = None
 
 
@@ -301,7 +318,7 @@ class ArchModel:
         return (1.0,) + tuple(v * v for v in lags[: self.cfg.order])
 
     def observe(self, states: Sequence[ArchNodeState], x: float, lags: Sequence[float]) -> None:
-        z = np.array(self.design(lags))  # one row array, shared by the path's states
+        z = np.array(self.design(lags))  # converted once; each path state copies it into its own buffer
         for state in states:
             state.add(x, z)
 
@@ -309,7 +326,8 @@ class ArchModel:
         """The states of nodes 0..K-1, node k holding the rows i with k in labels[:, i].
 
         A stable sort groups the rows per state in their original order, so
-        each state holds what observe would have appended one at a time.
+        each state holds what observe would have appended one at a time, as
+        views of two arrays that all the states share.
         """
         flat = labels.ravel()
         rows = np.argsort(flat, kind="stable") % len(x)

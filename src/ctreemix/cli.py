@@ -190,6 +190,8 @@ def _train_len(args, n: int, need_test: bool = True) -> int:
     --test-last; half of n if neither is given.  It leaves at least one test sample if need_test."""
     split = 0.5 if args.split is None else args.split
     if args.test_last is not None:
+        if not 0 <= args.test_last <= n:  # the count itself is not shown: it could have hundreds of digits
+            raise ValueError(f"--test-last must be a count of samples from 0 to the series' length (n={n})")
         out = n - args.test_last
     elif not isfinite(split) or split >= 1.0 and split != int(split):
         raise ValueError(f"--split {split!r} is neither a fraction below 1 nor a whole count of samples")

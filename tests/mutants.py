@@ -100,6 +100,14 @@ MUTANTS = [
      "leaf = self.leaf if order is None else replace(self.leaf, order=order)",
      "leaf = self.leaf",
      "tests/test_selection.py::test_every_cell_equals_a_fit_at_its_order[ar-deep]"),
+    ("arch-add-writes-borrowed-rows", "arch.py",
+     "self._xbuf = self._zbuf = None",
+     "self._xbuf, self._zbuf = (None, None) if xs is None else (xs.base, zs.base)",
+     "tests/test_arch.py::TestRowBuffers::test_appending_to_one_batch_state_leaves_the_others"),
+    ("test-last-negative-unchecked", "cli.py",
+     "if not 0 <= args.test_last <= n:",
+     "if not args.test_last <= n:",
+     "tests/test_cli.py::TestSplit::test_conflicting_or_degenerate"),
 ]
 
 

@@ -334,3 +334,70 @@ class TestBatchKernel:
         assert arch_loglik(st, theta) == scalar_loglik(ref, theta)
         for got, want in zip(arch_score_and_info(st, theta), scalar_score_and_info(ref, theta)):
             assert got.tolist() == want.tolist()
+
+
+def batch_states(order=3):
+    """Three states from one observe_batch, all views of its shared arrays: the root (12 rows), and nodes
+    1 and 2 holding the even and the odd rows."""
+    rng = np.random.default_rng(4)
+    x, lags = rng.normal(size=12), rng.normal(size=(12, order))
+    labels = np.array([[0] * 12, [1, 2] * 6])
+    return ArchModel(ArchConfig(order=order)).observe_batch(labels, x, lags)
+
+
+def row_bytes(states):
+    return [(st.xs.tobytes(), st.zs.tobytes()) for st in states]
+
+
+class TestRowBuffers:
+    """A state writes only buffers it owns, and rows it has handed out never change."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_appending_to_one_batch_state_leaves_the_others(self, k):
+        states = batch_states()
+        assert all(st.xs.base is states[0].xs.base for st in states)  # the precondition: one shared array
+        before = row_bytes(states)
+        states[k].add(7.0, (1.0, 2.0, 3.0, 4.0))
+        for j, (st, rows) in enumerate(zip(states, before)):
+            if j != k:
+                assert row_bytes([st]) == [rows], f"state {j} changed when state {k} appended"
+        xs, zs = before[k]
+        assert states[k].xs.tobytes() == xs + np.float64(7.0).tobytes(), f"state {k}'s xs"
+        assert states[k].zs.tobytes() == zs + np.array([1.0, 2.0, 3.0, 4.0]).tobytes(), f"state {k}'s zs"
+
+    def test_arrays_handed_out_keep_their_rows_across_a_doubling(self):
+        st = ArchNodeState()
+        taken = []
+        for k in range(40):  # the buffer doubles at 8, 16 and 32 rows
+            if k in (5, 8, 13):
+                taken.append((k, st.xs, st.zs, st.xs.tobytes(), st.zs.tobytes()))
+            st.add(float(k), (1.0, k * k))
+        assert st.xs.tolist() == [float(k) for k in range(40)]
+        for k, xs, zs, xs_bytes, zs_bytes in taken:
+            assert (xs.tobytes(), zs.tobytes()) == (xs_bytes, zs_bytes), f"the state's rows taken at {k}"
+            assert st.xs[:k].tobytes() == xs_bytes and st.zs[:k].tobytes() == zs_bytes
+
+    def test_narrowed_states_and_their_source_keep_each_others_rows(self):
+        source = batch_states()
+        source[1].add(5.0, (1.0, 0.5, 0.25, 0.125))  # node 1 now owns its buffers, node 2 still borrows
+        narrowed = source.narrow(1)
+        assert narrowed[1].xs.base is source[1].xs.base and narrowed[2].xs.base is source[2].xs.base
+        for k in (1, 2):
+            before = row_bytes([source[k], narrowed[k]])
+            source[k].add(6.0, (1.0, 2.0, 3.0, 4.0))
+            assert row_bytes([narrowed[k]]) == before[1:], f"narrowed state {k} after its source appended"
+            before = row_bytes([source[k]])
+            narrowed[k].add(8.0, (1.0, 9.0))
+            assert row_bytes([source[k]]) == before, f"source state {k} after its narrowed state appended"
+            assert narrowed[k].zs.shape == (narrowed[k].count, 2)
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("owned", [False, True], ids=["borrowed", "owned"])
+    def test_a_row_of_the_wrong_width_raises(self, width, owned):
+        st = rows_state((0.2, 0.1, 0.1), seed=1, n=10)
+        if owned:
+            st.add(0.5, (1.0, 0.5, 0.5))
+        before = row_bytes([st])
+        with pytest.raises(ValueError):
+            st.add(0.5, (1.0,) * width)
+        assert row_bytes([st]) == before, "the state's rows after a rejected row"

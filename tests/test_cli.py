@@ -518,6 +518,11 @@ class TestSplit:
         # checked on the float, before int() would give the count's 301 digits
         with pytest.raises(ValueError, match=r"^--split 1e\+300 is more samples than the series has \(n=100\)$"):
             self.train_len(100, split=1e300)
+        # a negative count, or one above n, is named without its value
+        for count in (-3, 10**300):
+            with pytest.raises(ValueError, match=r"^--test-last must be a count .*\(n=100\)$") as err:
+                self.train_len(100, test_last=count)
+            assert str(count) not in str(err.value)
 
 
 @pytest.mark.parametrize("split", ["1.9", "300.5", "inf", "nan"])
